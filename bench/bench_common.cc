@@ -25,8 +25,8 @@ BinaryName(const char* argv0)
 /**
  * Run-level pool size: --jobs divided by the per-run channel workers so
  * --jobs J --channel-jobs C composes without oversubscription.  0 channel
- * workers means "one per channel" (unknown here), which in practice wants
- * the whole machine for each run — treat it as all hardware threads.
+ * workers resolves per system to min(channels, hardware threads); the
+ * channel count is unknown here, so count it as all hardware threads.
  */
 unsigned
 PoolJobs(const Options& options)
@@ -62,7 +62,7 @@ ParseOptions(int argc, char** argv)
                 options.jobs = HardwareJobs();
             }
         } else if (arg == "--channel-jobs" && i + 1 < argc) {
-            // 0 stays 0: "one worker per channel", resolved per system.
+            // 0 stays 0: resolved per system to min(channels, threads).
             options.channel_jobs = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
         } else if (arg == "--engine") {

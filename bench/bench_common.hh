@@ -13,8 +13,8 @@
  *                  hardware threads).  Results are bit-identical for every
  *                  N — see DESIGN.md "Parallel runner".
  *   --channel-jobs N  worker threads advancing the memory controllers
- *                  *inside* each run (default 1 = serial loop; 0 = one per
- *                  channel).  Bit-identical for every N — DESIGN.md §5g.
+ *                  *inside* each run (default 1 = serial loop; 0 =
+ *                  min(channels, hardware threads)).  Bit-identical for every N — DESIGN.md §5g.
  *                  Composes with --jobs: the run-level pool is divided by
  *                  N so --jobs J --channel-jobs C never oversubscribes.
  *   --engine       enable the engine flight recorder (DESIGN.md §5h) on
@@ -50,8 +50,8 @@ struct Options {
     std::uint64_t seed = 1;
     /** Worker threads for independent runs; 0 means all hardware threads. */
     unsigned jobs = 1;
-    /** Intra-run channel workers (SystemConfig::channel_jobs); 0 means one
-     *  per channel. */
+    /** Intra-run channel workers (SystemConfig::channel_jobs); 0 means
+     *  min(channels, hardware threads). */
     unsigned channel_jobs = 1;
     /** Engine flight recorder (observability.engine_profile). */
     bool engine = false;

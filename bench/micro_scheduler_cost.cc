@@ -227,9 +227,9 @@ IdleTick(benchmark::State& state, bool fast_path)
  * Whole-System cycle-loop cost: cores, caches, and all controllers
  * advancing together in 20k-CPU-cycle slices under memory-intensive
  * synthetic traces.  `channel_jobs` 1 is the serial reference loop; 0
- * runs one worker per channel through the lookahead-window engine.  Items
- * processed = simulated CPU cycles, so items/s compares directly across
- * the pair.
+ * runs min(channels, hardware threads) workers through the
+ * lookahead-window engine.  Items processed = simulated CPU cycles, so
+ * items/s compares directly across the pair.
  */
 void
 SystemSlice(benchmark::State& state, std::uint32_t cores,

@@ -26,26 +26,8 @@ Core::Tick()
 {
     stats_.cycles += 1;
     Commit();
-    IssueMemory(std::min<std::size_t>(unissued_.size(), 4));
+    IssueMemory();
     Fetch();
-}
-
-void
-Core::TickFrontend()
-{
-    stats_.cycles += 1;
-    Commit();
-    // Freeze the issue scan to the pre-fetch unissued prefix so the
-    // deferred TickIssue considers exactly the slots the serial schedule
-    // (commit -> issue -> fetch) would have (see the header contract).
-    issue_scan_ = std::min<std::size_t>(unissued_.size(), 4);
-    Fetch();
-}
-
-void
-Core::TickIssue()
-{
-    IssueMemory(issue_scan_);
 }
 
 void
@@ -91,11 +73,12 @@ Core::Commit()
 }
 
 void
-Core::IssueMemory(std::size_t scan_limit)
+Core::IssueMemory()
 {
     // At most one memory operation issues per cycle (baseline: one of the
     // three pipeline slots may be a memory op).  A dependent access may only
     // issue once it is the oldest unissued access and nothing is in flight.
+    const std::size_t scan_limit = std::min<std::size_t>(unissued_.size(), 4);
     for (std::size_t i = 0; i < scan_limit; ++i) {
         Slot* slot = unissued_[i];
         const bool dependency_ready =

@@ -127,28 +127,6 @@ class Core {
     /** Advances the core by one CPU cycle. */
     void Tick();
 
-    /**
-     * Split-phase cycle advance for the sharded core phase (DESIGN.md
-     * §5g): `TickFrontend()` runs the core-private half of a cycle —
-     * commit, the capture of this cycle's issue-scan bound, and fetch —
-     * and `TickIssue()` then performs the memory-issue half, which is the
-     * only part that touches the shared MemoryPort.  The System runs
-     * frontends for all cores in parallel, then issues serially in thread
-     * order, so request ids and controller arrival order are identical to
-     * the serial `Tick()` schedule.
-     *
-     * Equivalence with `Tick()` (which runs commit → issue → fetch): the
-     * issue scan is frozen to the pre-fetch prefix of the unissued queue
-     * via the captured bound — slots fetch appends are out of reach, and
-     * deque appends never invalidate the stored slot pointers — and fetch
-     * reads nothing issue writes (it looks at window occupancy, the trace
-     * cursor, and the back slot's kind; issue only flips issued/done bits
-     * on memory slots and pops the unissued queue).  A `TickFrontend()` +
-     * `TickIssue()` pair is therefore state-identical to one `Tick()`.
-     */
-    void TickFrontend();
-    void TickIssue();
-
     /** Notification that the DRAM read with @p id returned its data. */
     void OnReadComplete(RequestId id);
 
@@ -192,12 +170,8 @@ class Core {
 
     CoreStats stats_;
 
-    /** Issue-scan bound captured by TickFrontend for the paired
-     *  TickIssue (the pre-fetch unissued prefix). */
-    std::size_t issue_scan_ = 0;
-
     void Commit();
-    void IssueMemory(std::size_t scan_limit);
+    void IssueMemory();
     void Fetch();
 };
 

@@ -212,10 +212,6 @@ EngineProfiler::OnWindowClose(DramCycle from, DramCycle to,
         record.wall_end = Now() - construct_ticks_;
         Slot& coordinator = slots_[0];
         record.core_ticks =
-            coordinator
-                .window[static_cast<std::size_t>(Phase::kCoreFrontend)] +
-            coordinator.window[static_cast<std::size_t>(Phase::kCoreJoin)] +
-            coordinator.window[static_cast<std::size_t>(Phase::kCoreIssue)] +
             coordinator.window[static_cast<std::size_t>(Phase::kCoreSweep)];
         record.publish_ticks =
             coordinator.window[static_cast<std::size_t>(Phase::kPublish)];
@@ -225,10 +221,7 @@ EngineProfiler::OnWindowClose(DramCycle from, DramCycle to,
         for (unsigned p = 0; p < participants_; ++p) {
             record.work_ticks.push_back(
                 slots_[p].window[static_cast<std::size_t>(
-                    Phase::kChannelWork)] +
-                (p == 0 ? 0
-                        : slots_[p].window[static_cast<std::size_t>(
-                              Phase::kCoreFrontend)]));
+                    Phase::kChannelWork)]);
         }
         records_.push_back(std::move(record));
     } else {
@@ -323,8 +316,10 @@ EngineProfiler::TimingJson() const
     for (std::size_t index = 0; index < kPhaseCount; ++index) {
         coordinator_total += coordinator.ticks[index];
     }
+    // Everything the coordinator runs while the workers are parked: the
+    // core sweep, the notification publish, and the merge.
     const std::uint64_t tail =
-        coordinator.ticks[static_cast<std::size_t>(Phase::kCoreIssue)] +
+        coordinator.ticks[static_cast<std::size_t>(Phase::kCoreSweep)] +
         coordinator.ticks[static_cast<std::size_t>(Phase::kPublish)] +
         coordinator.ticks[static_cast<std::size_t>(Phase::kMerge)];
     out.Set("serial_tail_fraction",
@@ -338,11 +333,9 @@ EngineProfiler::TimingJson() const
     for (unsigned p = 1; p < participants_; ++p) {
         const Slot& slot = slots_[p];
         const std::uint64_t busy =
-            slot.ticks[static_cast<std::size_t>(Phase::kChannelWork)] +
-            slot.ticks[static_cast<std::size_t>(Phase::kCoreFrontend)];
+            slot.ticks[static_cast<std::size_t>(Phase::kChannelWork)];
         const std::uint64_t idle =
-            slot.ticks[static_cast<std::size_t>(Phase::kWorkerPark)] +
-            slot.ticks[static_cast<std::size_t>(Phase::kCoreJoin)];
+            slot.ticks[static_cast<std::size_t>(Phase::kWorkerPark)];
         if (busy + idle > 0) {
             utilization_sum += static_cast<double>(busy) /
                                static_cast<double>(busy + idle);

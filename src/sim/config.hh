@@ -19,6 +19,11 @@
 
 namespace parbs {
 
+// GCC reports a deprecated field at every implicitly defined copy or move
+// of its struct; only explicit uses of the field should warn.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
 /** Complete CMP + memory-system configuration. */
 struct SystemConfig {
     std::uint32_t num_cores = 4;
@@ -49,24 +54,19 @@ struct SystemConfig {
     /**
      * Intra-run parallelism: worker threads advancing the memory
      * controllers inside one System::Run (DESIGN.md §5g).  1 keeps the
-     * serial cycle loop; 0 means one worker per channel; values above the
-     * channel count are clamped.  Results are bit-identical for every
-     * value — sharding changes only which thread executes a controller's
-     * ticks, never their order or inputs — so this is purely a wall-clock
-     * knob.  Single-channel systems always run serial.
+     * serial cycle loop; 0 means min(channels, HardwareJobs()), so the
+     * default never oversubscribes the machine; values above the channel
+     * count are clamped.  Results are bit-identical for every value —
+     * sharding changes only which thread executes a controller's ticks,
+     * never their order or inputs — so this is purely a wall-clock knob.
+     * Single-channel systems always run serial.
      */
     unsigned channel_jobs = 1;
 
-    /**
-     * Worker threads advancing the *cores* inside the sharded engine's
-     * core phase (DESIGN.md §5g).  Meaningful only when the run is sharded
-     * (channel_jobs != 1): 1 keeps the serial core sweep; 0 sizes the core
-     * crew automatically (matching the channel crew, engaged from 32 cores
-     * up, where the per-cycle core sweep starts to dominate); explicit
-     * values above 1 always engage and are clamped to the channel-crew
-     * size.  Bit-identical for every value — frontends are core-private,
-     * and memory issue stays a serial thread-order sweep.
-     */
+    /** Ignored: the sharded engine always sweeps the cores serially.
+     *  Kept only so the perf ledger (bench/ledger/) still compiles;
+     *  removed with the ledger's next update. */
+    [[deprecated("ignored; the core sweep is always serial")]]
     unsigned core_jobs = 0;
 
     /**
@@ -101,6 +101,8 @@ struct SystemConfig {
      */
     static SystemConfig Baseline(std::uint32_t cores, std::uint32_t channels);
 };
+
+#pragma GCC diagnostic pop
 
 } // namespace parbs
 

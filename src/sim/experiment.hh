@@ -35,8 +35,9 @@ struct ExperimentConfig {
     /**
      * Worker threads advancing the memory controllers inside each run
      * (SystemConfig::channel_jobs): 1 keeps the serial cycle loop, 0 means
-     * one worker per channel.  Bit-identical results either way; forced to
-     * 1 under PARBS_CHECK so the serial loop stays the cross-reference.
+     * min(channels, hardware threads).  Bit-identical results either way;
+     * forced to 1 under PARBS_CHECK so the serial loop stays the
+     * cross-reference.
      */
     unsigned channel_jobs = 1;
 

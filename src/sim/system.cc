@@ -10,6 +10,7 @@
 #include "common/json.hh"
 #include "obs/engine_profiler.hh"
 #include "sim/channel_team.hh"
+#include "sim/runner.hh"
 
 namespace parbs {
 
@@ -136,12 +137,13 @@ System::System(const SystemConfig& config,
         }
     }
 
-    // Resolve the sharded engine (DESIGN.md §5g).  channel_jobs == 0 means
-    // one worker per channel; anything above the channel count is wasted.
+    // Resolve the sharded engine (DESIGN.md §5g).  channel_jobs == 0 sizes
+    // the team to the machine, so the default never oversubscribes;
+    // anything above the channel count is wasted.
     const auto channels =
         static_cast<std::uint32_t>(controllers_.size());
     const unsigned requested =
-        config_.channel_jobs == 0 ? channels : config_.channel_jobs;
+        config_.channel_jobs == 0 ? HardwareJobs() : config_.channel_jobs;
     shard_jobs_ = std::max(1u, std::min<unsigned>(requested, channels));
     window_ = LookaheadWindow();
     sharded_ = shard_jobs_ > 1 && channels > 1 && window_ >= 1;
@@ -169,37 +171,7 @@ System::System(const SystemConfig& config,
         shards_.push_back(std::move(shard));
     }
 
-    // Resolve the core-phase crew (sharded engine only).  core_jobs == 0
-    // auto-sizes to the channel crew but only engages from 32 cores up,
-    // where the per-cycle core sweep starts to dominate the core phase;
-    // an explicit value > 1 always engages (clamped to the channel crew,
-    // whose threads it reuses, and to the core count).
-    const auto core_count = static_cast<unsigned>(cores_.size());
-    unsigned core_requested;
-    if (config_.core_jobs == 0) {
-        core_requested = config_.num_cores >= 32 ? shard_jobs_ : 1;
-    } else {
-        core_requested = config_.core_jobs;
-    }
-    core_crew_ =
-        std::max(1u, std::min({core_requested, shard_jobs_, core_count}));
-    if (core_crew_ > 1) {
-        core_workers_ =
-            std::make_unique<CoreWorkerState[]>(core_crew_);
-        core_blocks_.resize(core_crew_);
-        const ThreadId per = core_count / core_crew_;
-        const ThreadId extra = core_count % core_crew_;
-        ThreadId begin = 0;
-        for (unsigned p = 0; p < core_crew_; ++p) {
-            const ThreadId size = per + (p < extra ? 1 : 0);
-            core_blocks_[p] = {begin, begin + size};
-            begin += size;
-        }
-        core_notify_.resize(core_count);
-        core_notify_pos_.assign(core_count, 0);
-    }
-
-    team_ = std::make_unique<ChannelTeam>(
+    team_ =std::make_unique<ChannelTeam>(
         shard_jobs_,
         [this](unsigned participant) { RunParticipant(participant); },
         eng_);
@@ -270,15 +242,7 @@ System::RunSerial(CpuCycle end)
         if (next_notify_ready_ <= cpu_cycle_) {
             DeliverNotifications();
         }
-        for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-            cores_[thread]->Tick();
-            // Done() is monotone and flips only inside Tick, so checking
-            // the transition here keeps the end-of-run probe O(1).
-            if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-                core_done_[thread] = 1;
-                active_cores_ -= 1;
-            }
-        }
+        TickCores();
         cpu_cycle_ += 1;
         if (progress_bound_cpu_ != 0 && cpu_cycle_ >= next_progress_check_) {
             CheckGlobalProgress();
@@ -291,6 +255,20 @@ System::RunSerial(CpuCycle end)
     // the run ends or drains; mirror it so the window counts agree.
     if (eng_ != nullptr) {
         ProfileSerialWindow();
+    }
+}
+
+void
+System::TickCores()
+{
+    for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
+        cores_[thread]->Tick();
+        // Done() is monotone and flips only inside Tick, so checking the
+        // transition here keeps the end-of-run probe O(1).
+        if (core_done_[thread] == 0 && cores_[thread]->Done()) {
+            core_done_[thread] = 1;
+            active_cores_ -= 1;
+        }
     }
 }
 
@@ -388,55 +366,40 @@ System::RunSharded(CpuCycle end)
         // Runs the cores up to the lookahead horizon, replaying queue
         // departures from the published retire/notification schedules so
         // backpressure and read returns are bit-exact without touching
-        // the controllers.  With a core crew the cycles run in lockstep
-        // across the team; otherwise the coordinator sweeps alone.
+        // the controllers.  The coordinator sweeps the cores alone while
+        // the workers stay parked.
         const CpuCycle core_end =
             std::min<CpuCycle>(end, (next_tick_ + window_) * ratio);
-        if (core_crew_ > 1) {
-            if (eng_ != nullptr) {
-                eng_->SetCurrentPhase(
-                    obs::EngineProfiler::Phase::kCoreFrontend);
+        const std::uint64_t sweep_start =
+            eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
+        if (eng_ != nullptr) {
+            eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kCoreSweep);
+        }
+        while (cpu_cycle_ < core_end) {
+            if (cpu_cycle_ % ratio == 0) {
+                ApplyScheduledRetires(DramNow());
             }
-            all_done = RunCorePhaseParallel(core_end);
-        } else {
-            const std::uint64_t sweep_start =
-                eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
-            if (eng_ != nullptr) {
-                eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kCoreSweep);
+            if (next_notify_ready_ <= cpu_cycle_) {
+                DeliverNotifications();
             }
-            while (cpu_cycle_ < core_end) {
-                if (cpu_cycle_ % ratio == 0) {
-                    ApplyScheduledRetires(DramNow());
-                }
-                if (next_notify_ready_ <= cpu_cycle_) {
-                    DeliverNotifications();
-                }
-                for (ThreadId thread = 0; thread < cores_.size();
-                     ++thread) {
-                    cores_[thread]->Tick();
-                    if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-                        core_done_[thread] = 1;
-                        active_cores_ -= 1;
-                    }
-                }
-                cpu_cycle_ += 1;
-                if (progress_bound_cpu_ != 0 &&
-                    cpu_cycle_ >= next_progress_check_) {
-                    CheckGlobalProgress();
-                }
-                // The serial engine's AllDone(), against the proxies: the
-                // controllers are behind, but the proxies describe their
-                // state at exactly this point of virtual time.
-                if (active_cores_ == 0 && notifications_.empty() &&
-                    AllShardsIdle()) {
-                    all_done = true;
-                    break;
-                }
+            TickCores();
+            cpu_cycle_ += 1;
+            if (progress_bound_cpu_ != 0 &&
+                cpu_cycle_ >= next_progress_check_) {
+                CheckGlobalProgress();
             }
-            if (eng_ != nullptr) {
-                eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreSweep,
-                                    obs::EngineProfiler::Now() - sweep_start);
+            // The serial engine's AllDone(), against the proxies: the
+            // controllers are behind, but the proxies describe their state
+            // at exactly this point of virtual time.
+            if (active_cores_ == 0 && notifications_.empty() &&
+                AllShardsIdle()) {
+                all_done = true;
+                break;
             }
+        }
+        if (eng_ != nullptr) {
+            eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreSweep,
+                                obs::EngineProfiler::Now() - sweep_start);
         }
 
         // --- controller catch-up (parallel) + barrier ------------------
@@ -470,14 +433,6 @@ System::RunSharded(CpuCycle end)
 void
 System::RunParticipant(unsigned participant)
 {
-    if (team_phase_ == TeamPhase::kCores) {
-        if (participant == 0) {
-            RunCoreCoordinator();
-        } else if (participant < core_crew_) {
-            RunCoreWorker(participant);
-        }
-        return;
-    }
     const std::uint64_t work_start =
         eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
     const auto channels = static_cast<std::uint32_t>(controllers_.size());
@@ -493,231 +448,6 @@ System::RunParticipant(unsigned participant)
         eng_->AddPhaseTicks(participant,
                             obs::EngineProfiler::Phase::kChannelWork,
                             obs::EngineProfiler::Now() - work_start);
-    }
-}
-
-bool
-System::RunCorePhaseParallel(CpuCycle core_end)
-{
-    core_phase_base_ = cpu_cycle_;
-    core_phase_end_ = core_end;
-    core_phase_all_done_ = false;
-    core_release_.store(0, std::memory_order_relaxed);
-    core_stop_.store(false, std::memory_order_relaxed);
-    for (unsigned p = 0; p < core_crew_; ++p) {
-        core_workers_[p].done.store(0, std::memory_order_relaxed);
-        core_workers_[p].error = nullptr;
-    }
-    // Mirror the (phase-static) notification deque into per-core slices so
-    // workers deliver without touching shared state.  Entries are in ready
-    // order globally, hence also within each core's slice.
-    for (auto& mirror : core_notify_) {
-        mirror.clear();
-    }
-    core_notify_pos_.assign(core_notify_.size(), 0);
-    for (const PendingNotify& entry : notifications_) {
-        core_notify_[entry.thread].push_back(entry);
-    }
-
-    // The team's release/join synchronizes the setup above with the
-    // workers (and their frontends back with the coordinator).
-    team_phase_ = TeamPhase::kCores;
-    team_->RunWindow();
-    team_phase_ = TeamPhase::kChannels;
-
-    for (unsigned p = 1; p < core_crew_; ++p) {
-        if (core_workers_[p].error != nullptr) {
-            std::exception_ptr error = core_workers_[p].error;
-            core_workers_[p].error = nullptr;
-            RethrowShardError(error);
-        }
-    }
-    return core_phase_all_done_;
-}
-
-void
-System::AdvanceCoreBlock(unsigned participant, CpuCycle cycle)
-{
-    const auto [begin, end] = core_blocks_[participant];
-    for (ThreadId thread = begin; thread < end; ++thread) {
-        // Serial delivery order: a cycle's due notifications land before
-        // the core's commit (delivery only touches this core's window).
-        std::vector<PendingNotify>& mirror = core_notify_[thread];
-        std::size_t& pos = core_notify_pos_[thread];
-        while (pos < mirror.size() && mirror[pos].ready <= cycle) {
-            cores_[thread]->OnReadComplete(mirror[pos].id);
-            pos += 1;
-        }
-        cores_[thread]->TickFrontend();
-    }
-}
-
-void
-System::RunCoreCoordinator()
-{
-    // However this phase ends — horizon reached, all-done probe, or an
-    // exception (e.g. the watchdog) unwinding — the workers must be told
-    // to stand down, or the team join would hang.
-    struct StopGuard {
-        System& system;
-        ~StopGuard()
-        {
-            system.core_stop_.store(true, std::memory_order_release);
-        }
-    };
-    StopGuard guard{*this};
-
-    const CpuCycle ratio = config_.cpu_to_dram_ratio;
-    // Phase timing stays out of the per-cycle loop's stores: four clock
-    // samples per cycle accumulate into locals, folded into the profiler
-    // once per phase (and only when profiling is on at all).
-    const bool profiled = eng_ != nullptr;
-    std::uint64_t frontend_ticks = 0;
-    std::uint64_t join_ticks = 0;
-    std::uint64_t issue_ticks = 0;
-    CpuCycle released = 0;
-    while (cpu_cycle_ < core_phase_end_) {
-        const std::uint64_t t0 =
-            profiled ? obs::EngineProfiler::Now() : 0;
-        // Release the cycle, then run our own block while the crew runs
-        // theirs.
-        released += 1;
-        core_release_.store(released, std::memory_order_release);
-        AdvanceCoreBlock(0, cpu_cycle_);
-        const std::uint64_t t1 =
-            profiled ? obs::EngineProfiler::Now() : 0;
-
-        // Join: every worker has finished the cycle's frontends (or bailed
-        // out with its done counter pinned to the sentinel).
-        bool worker_failed = false;
-        for (unsigned p = 1; p < core_crew_; ++p) {
-            int spins = 0;
-            while (core_workers_[p].done.load(std::memory_order_acquire) <
-                   released) {
-                if (++spins > 4000) {
-                    std::this_thread::yield();
-                }
-            }
-            if (core_workers_[p].error != nullptr) {
-                worker_failed = true;
-            }
-        }
-        const std::uint64_t t2 =
-            profiled ? obs::EngineProfiler::Now() : 0;
-        frontend_ticks += t1 - t0;
-        join_ticks += t2 - t1;
-        if (worker_failed) {
-            // RunCorePhaseParallel rethrows after the team join.
-            break;
-        }
-
-        // --- serial tail: everything that touches shared state ---------
-        if (cpu_cycle_ % ratio == 0) {
-            ApplyScheduledRetires(DramNow());
-        }
-        // Memory issue in thread order — the global request-id, arrival-
-        // seq, and backpressure order of the serial engine.
-        for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-            cores_[thread]->TickIssue();
-        }
-        // The workers delivered this cycle's notifications from the
-        // mirrors; retire the delivered prefix of the shared deque so the
-        // all-done probe (and the next phase's mirrors) stay exact.
-        while (!notifications_.empty() &&
-               notifications_.front().ready <= cpu_cycle_) {
-            notifications_.pop_front();
-        }
-        next_notify_ready_ = notifications_.empty()
-                                 ? kNeverCycle
-                                 : notifications_.front().ready;
-        for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-            if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-                core_done_[thread] = 1;
-                active_cores_ -= 1;
-            }
-        }
-        cpu_cycle_ += 1;
-        if (profiled) {
-            issue_ticks += obs::EngineProfiler::Now() - t2;
-        }
-        if (progress_bound_cpu_ != 0 && cpu_cycle_ >= next_progress_check_) {
-            CheckGlobalProgress();
-        }
-        if (active_cores_ == 0 && notifications_.empty() &&
-            AllShardsIdle()) {
-            core_phase_all_done_ = true;
-            break;
-        }
-    }
-    if (profiled) {
-        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreFrontend,
-                            frontend_ticks);
-        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreJoin,
-                            join_ticks);
-        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreIssue,
-                            issue_ticks);
-    }
-}
-
-void
-System::RunCoreWorker(unsigned participant)
-{
-    CoreWorkerState& state = core_workers_[participant];
-    const bool profiled = eng_ != nullptr;
-    std::uint64_t frontend_ticks = 0;
-    std::uint64_t wait_ticks = 0;
-    std::uint64_t wait_start = profiled ? obs::EngineProfiler::Now() : 0;
-    const auto flush = [&] {
-        if (profiled) {
-            eng_->AddPhaseTicks(participant,
-                                obs::EngineProfiler::Phase::kCoreFrontend,
-                                frontend_ticks);
-            eng_->AddPhaseTicks(participant,
-                                obs::EngineProfiler::Phase::kCoreJoin,
-                                wait_ticks);
-        }
-    };
-    CpuCycle done = 0;
-    int spins = 0;
-    while (true) {
-        const CpuCycle released =
-            core_release_.load(std::memory_order_acquire);
-        if (done < released) {
-            const std::uint64_t t0 =
-                profiled ? obs::EngineProfiler::Now() : 0;
-            wait_ticks += t0 - wait_start;
-            try {
-                AdvanceCoreBlock(participant, core_phase_base_ + done);
-            } catch (...) {
-                state.error = std::current_exception();
-                state.done.store(kNeverCycle, std::memory_order_release);
-                flush();
-                return;
-            }
-            done += 1;
-            state.done.store(done, std::memory_order_release);
-            wait_start = profiled ? obs::EngineProfiler::Now() : 0;
-            frontend_ticks += wait_start - t0;
-            spins = 0;
-            continue;
-        }
-        if (core_stop_.load(std::memory_order_acquire)) {
-            // The stop store is release-ordered after the final release,
-            // so this acquire makes any just-released cycle visible —
-            // re-check before exiting or the coordinator's join hangs.
-            if (done ==
-                core_release_.load(std::memory_order_acquire)) {
-                if (profiled) {
-                    wait_ticks += obs::EngineProfiler::Now() - wait_start;
-                }
-                flush();
-                return;
-            }
-            continue;
-        }
-        if (++spins > 4000) {
-            std::this_thread::yield();
-        }
     }
 }
 
@@ -1082,37 +812,13 @@ System::EngineStateDump() const
     std::ostringstream out;
     out << "---- engine state ----\n"
         << "engine=" << (sharded_ ? "sharded" : "serial")
-        << " channel_jobs=" << shard_jobs_ << " core_crew=" << core_crew_
+        << " channel_jobs=" << shard_jobs_
         << " lookahead_window=" << window_ << "\n"
         << "cpu_cycle=" << cpu_cycle_ << " next_tick=" << next_tick_
         << " window=[" << window_from_ << "," << window_to_
-        << ") limit=" << window_limit_ << "\n"
-        << "team_phase="
-        << (team_phase_ == TeamPhase::kCores ? "cores" : "channels");
+        << ") limit=" << window_limit_ << "\n";
     if (eng_ != nullptr) {
-        out << " profiler_phase=" << eng_->CurrentPhaseName();
-    }
-    out << "\n";
-    if (core_crew_ > 1 && core_workers_ != nullptr) {
-        const CpuCycle released =
-            core_release_.load(std::memory_order_acquire);
-        out << "core_release=" << released << " core_stop="
-            << (core_stop_.load(std::memory_order_acquire) ? 1 : 0)
-            << " phase_base=" << core_phase_base_
-            << " phase_end=" << core_phase_end_ << "\n";
-        for (unsigned p = 1; p < core_crew_; ++p) {
-            const CpuCycle done =
-                core_workers_[p].done.load(std::memory_order_acquire);
-            out << "core_worker[" << p << "] done=";
-            if (done == kNeverCycle) {
-                out << "bailed (error pending)";
-            } else {
-                out << done
-                    << (done < released ? " (parked on the cycle join)"
-                                        : " (caught up, awaiting release)");
-            }
-            out << "\n";
-        }
+        out << "profiler_phase=" << eng_->CurrentPhaseName() << "\n";
     }
     for (std::uint32_t channel = 0; channel < shards_.size(); ++channel) {
         const ChannelShard& shard = *shards_[channel];

@@ -4,19 +4,14 @@
  * per channel, advanced in lock-step on the two clock domains.
  *
  * Two execution engines produce bit-identical results (DESIGN.md §5g):
- * the serial cycle loop, and a sharded loop (config.channel_jobs > 1) that
- * advances each channel's controller on a worker thread in adaptive
- * lookahead windows.  Inside the sharded engine the per-cycle core advance
- * can itself be partitioned across the same worker pool
- * (config.core_jobs): core frontends run in parallel, memory issue stays a
- * serial thread-order sweep, so stats and trace bytes are identical for
- * every crew size.
+ * the serial cycle loop, and a sharded loop (config.channel_jobs != 1)
+ * that advances each channel's controller on a worker thread in adaptive
+ * lookahead windows while the coordinator sweeps the cores serially.
  */
 
 #ifndef PARBS_SIM_SYSTEM_HH
 #define PARBS_SIM_SYSTEM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -102,7 +97,7 @@ class System : public MemoryPort {
     /**
      * Deterministic engine counters (window accounting, arrival balance,
      * pick-memo rates) for the bench `run.engine` subtree; byte-identical
-     * across --jobs / --channel-jobs / core_jobs.
+     * across --jobs / --channel-jobs.
      * @pre the engine profiler is enabled (asserted).
      */
     json::Value EngineRunJson() const;
@@ -117,7 +112,7 @@ class System : public MemoryPort {
 
     /**
      * One-look engine state for stall dumps: engine kind, window bounds,
-     * team phase, per-worker lockstep progress, per-shard occupancy.
+     * profiler phase, per-shard occupancy.
      * Appended to watchdog errors so a hung run shows where the engine
      * was parked.  Works with or without the profiler.
      */
@@ -148,11 +143,6 @@ class System : public MemoryPort {
     /** The sharded engine's lookahead window, in DRAM cycles (0 when the
      *  timing admits none; see DESIGN.md §5g for the bound). */
     DramCycle lookahead_window() const { return window_; }
-
-    /** Resolved core-phase crew size: 1 means the serial core sweep, >1
-     *  means the lockstep parallel core phase runs on that many
-     *  participants of the channel team (DESIGN.md §5g). */
-    unsigned core_crew() const { return core_crew_; }
 
     // --- MemoryPort -------------------------------------------------------
     std::optional<RequestId> TryIssueRead(ThreadId thread, Addr addr) override;
@@ -348,50 +338,6 @@ class System : public MemoryPort {
     /** Per-channel cursor scratch for the notification publish merge. */
     std::vector<std::size_t> publish_pos_;
 
-    // --- sharded core phase (DESIGN.md §5g) -------------------------------
-
-    /** What the team's participants run in the current RunWindow. */
-    enum class TeamPhase : std::uint8_t { kChannels, kCores };
-    TeamPhase team_phase_ = TeamPhase::kChannels;
-
-    /** Resolved core-phase crew size (1 = serial core sweep). */
-    unsigned core_crew_ = 1;
-    /** Contiguous [begin, end) core block per participant. */
-    std::vector<std::pair<ThreadId, ThreadId>> core_blocks_;
-
-    /**
-     * Per-worker lockstep state.  `done` counts the cycles the worker has
-     * fully executed for the current core phase; the coordinator joins a
-     * cycle by waiting for every worker's done to reach the release count.
-     * UINT64_MAX doubles as the "worker bailed out" sentinel (error set),
-     * which trivially satisfies every join.
-     */
-    struct CoreWorkerState {
-        alignas(64) std::atomic<CpuCycle> done{0};
-        std::exception_ptr error;
-    };
-    std::unique_ptr<CoreWorkerState[]> core_workers_;
-
-    /** Cycles released to the workers this core phase (coordinator-only
-     *  writer; release-ordered so frontends are visible at the join). */
-    std::atomic<CpuCycle> core_release_{0};
-    /** Set (release) after the final release of a phase; a worker exits
-     *  once it sees it *and* has executed every released cycle. */
-    std::atomic<bool> core_stop_{false};
-
-    CpuCycle core_phase_base_ = 0;
-    CpuCycle core_phase_end_ = 0;
-    bool core_phase_all_done_ = false;
-
-    /**
-     * Per-core slices of notifications_ for the current core phase, built
-     * at phase start; workers deliver from their cores' mirrors so the
-     * shared deque is never touched off the coordinator.  The coordinator
-     * pops the delivered prefix of notifications_ in the serial tail.
-     */
-    std::vector<std::vector<PendingNotify>> core_notify_;
-    std::vector<std::size_t> core_notify_pos_;
-
     // --- engine flight recorder (DESIGN.md §5h) ---------------------------
 
     /** Constructed only when config.observability.engine_profile. */
@@ -429,21 +375,13 @@ class System : public MemoryPort {
     void RunSerial(CpuCycle end);
     void RunSharded(CpuCycle end);
 
-    /** Worker body: advances this participant's share of the phase. */
+    /** Worker body: advances this participant's share of the channels. */
     void RunParticipant(unsigned participant);
     void AdvanceChannel(std::uint32_t channel);
 
-    /**
-     * Runs one core phase (cycles [cpu_cycle_, core_end)) across the
-     * team in lockstep: per cycle, workers deliver + frontend their core
-     * blocks in parallel, then the coordinator issues memory for all
-     * cores in thread order.  @return true if the all-done probe fired.
-     */
-    bool RunCorePhaseParallel(CpuCycle core_end);
-    void RunCoreCoordinator();
-    void RunCoreWorker(unsigned participant);
-    /** Delivers mirrored notifications and ticks frontends for one block. */
-    void AdvanceCoreBlock(unsigned participant, CpuCycle cycle);
+    /** Ticks every core once, in thread order, and tracks the (monotone)
+     *  done transitions for the O(1) end-of-run probe. */
+    void TickCores();
 
     /**
      * Rebuilds the pre-published notification schedule at a window

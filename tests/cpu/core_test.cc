@@ -70,7 +70,7 @@ class MockPort : public MemoryPort {
 
 /** Runs @p core against @p port until done or @p max cycles. */
 void
-RunCore(Core& core, MockPort& port, CpuCycle max = 100000)
+DriveCore(Core& core, MockPort& port, CpuCycle max = 100000)
 {
     for (CpuCycle i = 0; i < max && !core.Done(); ++i) {
         for (RequestId id : port.Tick()) {
@@ -107,7 +107,7 @@ TEST(Core, ComputeOnlyTraceCommitsAtFullWidth)
     port.read_latency = 1;
     CoreConfig config;
     Core core(config, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_TRUE(core.Done());
     EXPECT_EQ(core.stats().instructions, 300u);
     // 300 instructions at width 3 plus small pipeline slack.
@@ -120,7 +120,7 @@ TEST(Core, SingleLoadStallsUntilData)
     port.read_latency = 200;
     VectorTraceSource trace({Load(0x1000)});
     Core core(CoreConfig{}, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_EQ(core.stats().loads_issued, 1u);
     EXPECT_EQ(core.stats().loads_completed, 1u);
     // Nearly the whole latency shows up as memory stall.
@@ -136,7 +136,7 @@ TEST(Core, IndependentLoadsOverlap)
     port.read_latency = 200;
     VectorTraceSource trace({Load(0x1000), Load(0x2000)});
     Core core(CoreConfig{}, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_LE(core.stats().load_stall_cycles, 210u);
     EXPECT_EQ(core.stats().loads_completed, 2u);
 }
@@ -148,7 +148,7 @@ TEST(Core, DependentLoadsSerialize)
     port.read_latency = 200;
     VectorTraceSource trace({Load(0x1000), Load(0x2000, 0, true)});
     Core core(CoreConfig{}, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_GE(core.stats().load_stall_cycles, 390u);
 }
 
@@ -162,7 +162,7 @@ TEST(Core, ManyIndependentLoadsStallOnce)
     }
     VectorTraceSource trace(entries);
     Core core(CoreConfig{}, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     // All six overlap: total stall well under 2 latencies.
     EXPECT_LT(core.stats().load_stall_cycles, 450u);
 }
@@ -213,7 +213,7 @@ TEST(Core, StoresDoNotBlockCommit)
     VectorTraceSource trace({Store(0x1000), Load(0, 49)});
     port.read_latency = 1;
     Core core(CoreConfig{}, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_TRUE(core.Done());
     EXPECT_EQ(core.stats().stores_issued, 1u);
     // The store may expose at most the one-cycle commit/issue pipeline
@@ -235,7 +235,7 @@ TEST(Core, FullWriteBufferEventuallyStallsCommit)
     EXPECT_GT(core.stats().store_stall_cycles, 50u);
     // Once the buffer opens up, the core drains.
     port.accept_writes = true;
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_TRUE(core.Done());
 }
 
@@ -251,7 +251,7 @@ TEST(Core, RetriesWhenRequestBufferFull)
     }
     EXPECT_EQ(core.stats().loads_issued, 0u);
     port.accept_reads = true;
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_TRUE(core.Done());
     EXPECT_EQ(core.stats().loads_issued, 1u);
 }
@@ -266,7 +266,7 @@ TEST(Core, McpiAndMpkiAreConsistent)
     }
     VectorTraceSource trace(entries);
     Core core(CoreConfig{}, 0, trace, port);
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_NEAR(core.stats().Mpki(), 10.0, 0.5);
     EXPECT_GT(core.stats().Mcpi(), 0.5);
     EXPECT_NEAR(core.stats().Mcpi(),
@@ -298,7 +298,7 @@ TEST(Core, DoneOnlyAfterDrain)
     Core core(CoreConfig{}, 0, trace, port);
     core.Tick();
     EXPECT_FALSE(core.Done());
-    RunCore(core, port);
+    DriveCore(core, port);
     EXPECT_TRUE(core.Done());
 }
 

@@ -27,9 +27,10 @@
  * worker utilization, and recorded window count.  When the same suite was
  * run at several --channel-jobs values into the same --dir, rows sharing
  * a label differ only in worker count N, so the mode also fits
- * wall = a + b/N per label and reports the implied Amdahl ceiling
- * (a+b)/a — the speedup the engine could reach with infinite workers.
- * With --summary the table is appended as markdown.
+ * wall = a + b/N per label (given at least three distinct N) and reports
+ * the implied Amdahl ceiling (a+b)/a — the speedup the engine could reach
+ * with infinite workers — or "no parallel gain" when the fitted b is not
+ * positive.  With --summary the table is appended as markdown.
  *
  * The check compares each file's deterministic "run" subtree exactly
  * (any metric drift fails) and its wall clock against the golden wall
@@ -489,6 +490,9 @@ struct AmdahlFit {
     double serial = 0.0;    ///< a: wall left at N = infinity.
     double parallel = 0.0;  ///< b: the part that scales away.
     double ceiling = 0.0;   ///< (a+b)/a, or 0 when a is noise-negative.
+
+    /** b <= 0: wall does not shrink with N, so no ceiling is reported. */
+    bool NoParallelGain() const { return parallel <= 0.0; }
 };
 
 /**
@@ -551,9 +555,12 @@ CollectEngineRows(const Value& report)
  * work is fixed, so N only varies when the same suite was run at several
  * --channel-jobs values into the same --dir (the CI engine sweep); the
  * intercept a is then the engine's serial floor and (a+b)/a its Amdahl
- * speedup ceiling.  Labels without at least two distinct N are skipped —
- * a single-sweep aggregate simply fits nothing.
+ * speedup ceiling.  Two points always fit a line exactly, so labels with
+ * fewer than kMinAmdahlPoints distinct N are skipped — a single-sweep
+ * aggregate simply fits nothing.
  */
+constexpr std::size_t kMinAmdahlPoints = 3;
+
 std::vector<AmdahlFit>
 FitAmdahl(const std::vector<EngineRow>& rows)
 {
@@ -571,17 +578,15 @@ FitAmdahl(const std::vector<EngineRow>& rows)
         double sum_xx = 0.0;
         double sum_xy = 0.0;
         std::size_t n = 0;
-        double first_participants = -1.0;
-        bool distinct = false;
+        std::vector<double> distinct;
         for (const EngineRow& row : rows) {
             if (row.label != group || row.participants <= 0.0 ||
                 row.wall_seconds <= 0.0) {
                 continue;
             }
-            if (first_participants < 0.0) {
-                first_participants = row.participants;
-            } else if (row.participants != first_participants) {
-                distinct = true;
+            if (std::find(distinct.begin(), distinct.end(),
+                          row.participants) == distinct.end()) {
+                distinct.push_back(row.participants);
             }
             const double x = 1.0 / row.participants;
             const double y = row.wall_seconds;
@@ -591,7 +596,7 @@ FitAmdahl(const std::vector<EngineRow>& rows)
             sum_xy += x * y;
             n += 1;
         }
-        if (n < 2 || !distinct) {
+        if (distinct.size() < kMinAmdahlPoints) {
             continue;
         }
         const double denom =
@@ -635,7 +640,12 @@ PrintEngineTable(const std::vector<EngineRow>& rows,
                      row.wall_seconds);
     }
     for (const AmdahlFit& fit : fits) {
-        if (fit.ceiling > 0.0) {
+        if (fit.NoParallelGain()) {
+            std::fprintf(stderr,
+                         "amdahl %-42s no parallel gain: wall does not "
+                         "shrink with N (%zu points)\n",
+                         fit.group.c_str(), fit.points);
+        } else if (fit.ceiling > 0.0) {
             std::fprintf(stderr,
                          "amdahl %-42s serial %.3fs + parallel %.3fs "
                          "-> ceiling %.1fx (%zu points)\n",
@@ -684,7 +694,13 @@ AppendEngineSummary(const std::string& path,
         out << "| group | points | serial a | parallel b | ceiling |\n";
         out << "|---|---|---|---|---|\n";
         for (const AmdahlFit& fit : fits) {
-            if (fit.ceiling > 0.0) {
+            if (fit.NoParallelGain()) {
+                std::snprintf(line, sizeof(line),
+                              "| %s | %zu | %.3fs | %.3fs | no parallel gain "
+                              "|\n",
+                              fit.group.c_str(), fit.points, fit.serial,
+                              fit.parallel);
+            } else if (fit.ceiling > 0.0) {
                 std::snprintf(line, sizeof(line),
                               "| %s | %zu | %.3fs | %.3fs | %.1fx |\n",
                               fit.group.c_str(), fit.points, fit.serial,
