@@ -14,7 +14,6 @@
  * number of core-cycles.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -83,18 +82,9 @@ RunPoint(const ScalePoint& point, const SchedulerConfig& scheduler,
     config.seed = options.seed;
     config.channel_jobs = options.channel_jobs;
     config.observability.engine_profile = options.engine;
-    // Same PARBS_CHECK contract as the ExperimentRunner binaries (see
-    // ExperimentConfig::MakeSystemConfig): the shadow protocol / fast-path
-    // / selection checkers, at any --channel-jobs — and this is the one
-    // suite that actually exercises the sampled selection cross-check,
-    // since every ExperimentRunner figure stays at <= 16 cores.
-    const char* check = std::getenv("PARBS_CHECK");
-    if (check != nullptr && check[0] != '\0' && check[0] != '0') {
-        config.controller.protocol_check = true;
-        config.controller.verify_fast_path = true;
-        config.controller.verify_indexed_selection = true;
-        config.controller.verify_sample_period = point.cores > 32 ? 61 : 1;
-    }
+    // Same PARBS_CHECK contract as the ExperimentRunner binaries: the
+    // shadow protocol checker, at any --channel-jobs.
+    ApplyCheckEnvironment(config);
     System system(config, MakeTraces(config, options.seed));
     system.Run(cycles);
 

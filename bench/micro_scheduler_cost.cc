@@ -7,16 +7,15 @@
  * with dividers).  This measures the software decision cost of each policy
  * under an identical standing request mix.
  *
- * Three families:
+ * Families:
  *
- *  - BM_<policy> — default-path per-tick cost at the historical 8-thread /
- *    96-request operating point (the perf-trajectory series).
- *  - BM_<policy>_indexed / BM_<policy>_scan at 4/8/16 cores with the read
- *    buffer loaded to capacity — indexed per-bank selection (DESIGN.md §5e)
- *    against the full-buffer scan, same workload, same scheduler.  The CI
- *    perf gate requires indexed to beat scan on the 16-core config.
- *  - BM_<policy>_nofastpath / BM_IdleTick_* — next-event skip-ahead cost
- *    and savings (PR 3's machinery), unchanged series.
+ *  - BM_<policy> — per-tick cost at the historical 8-thread / 96-request
+ *    operating point (the perf-trajectory series).
+ *  - BM_<policy>_loaded at 4/8/16 cores with the read buffer loaded to
+ *    capacity — the indexed per-bank selection (DESIGN.md §5e) as cores
+ *    scale, and the baseline of the observability and RAS overhead gates.
+ *  - BM_IdleTick_skip — per-tick cost of the next-event skip-ahead on a
+ *    drained controller.
  *  - BM_System_serial / BM_System_sharded — whole-System wall clock of the
  *    lookahead-window engine (DESIGN.md §5g) run inline on one thread
  *    (channel_jobs 1) against the machine-sized channel team
@@ -45,16 +44,13 @@ namespace {
 /** A controller pre-loaded with a reproducible mixed request population. */
 std::unique_ptr<Controller>
 LoadedController(SchedulerKind kind, std::uint32_t requests,
-                 bool fast_path = true, std::uint32_t threads = 8,
-                 bool indexed = true, double write_fraction = 0.2,
+                 std::uint32_t threads = 8, double write_fraction = 0.2,
                  const std::function<void(ControllerConfig&)>& customize = {})
 {
     SchedulerConfig scheduler_config;
     scheduler_config.kind = kind;
     ControllerConfig config;
     config.enable_refresh = false;
-    config.fast_path = fast_path;
-    config.indexed_selection = indexed;
     if (customize) {
         customize(config);
     }
@@ -77,10 +73,9 @@ LoadedController(SchedulerKind kind, std::uint32_t requests,
 }
 
 void
-SchedulerTick(benchmark::State& state, SchedulerKind kind,
-              bool fast_path = true)
+SchedulerTick(benchmark::State& state, SchedulerKind kind)
 {
-    auto controller = LoadedController(kind, 96, fast_path);
+    auto controller = LoadedController(kind, 96);
     DramCycle now = 0;
     for (auto _ : state) {
         controller->Tick(now);
@@ -88,7 +83,7 @@ SchedulerTick(benchmark::State& state, SchedulerKind kind,
         // Keep the buffer populated so every tick makes real decisions.
         if (controller->pending_reads() < 48) {
             state.PauseTiming();
-            controller = LoadedController(kind, 96, fast_path);
+            controller = LoadedController(kind, 96);
             now = 0;
             state.ResumeTiming();
         }
@@ -99,16 +94,14 @@ SchedulerTick(benchmark::State& state, SchedulerKind kind,
 /**
  * Selection-path cost at a fully-loaded read buffer (128 standing reads —
  * the paper's buffer capacity) spread over `cores` threads: the candidate
- * gather + two-level pick dominates the tick, so the indexed-vs-scan pair
- * isolates what the per-bank restructuring buys as cores scale.
+ * gather + two-level pick dominates the tick.
  */
 void
 SelectionTick(benchmark::State& state, SchedulerKind kind,
-              std::uint32_t cores, bool indexed)
+              std::uint32_t cores)
 {
     constexpr std::uint32_t kFullBuffer = 128;
-    auto controller = LoadedController(kind, kFullBuffer, /*fast_path=*/true,
-                                       cores, indexed,
+    auto controller = LoadedController(kind, kFullBuffer, cores,
                                        /*write_fraction=*/0.0);
     DramCycle now = 0;
     for (auto _ : state) {
@@ -117,8 +110,7 @@ SelectionTick(benchmark::State& state, SchedulerKind kind,
         // Stay near capacity so every selection walks a loaded buffer.
         if (controller->pending_reads() < kFullBuffer / 2) {
             state.PauseTiming();
-            controller = LoadedController(kind, kFullBuffer,
-                                          /*fast_path=*/true, cores, indexed,
+            controller = LoadedController(kind, kFullBuffer, cores,
                                           /*write_fraction=*/0.0);
             now = 0;
             state.ResumeTiming();
@@ -129,9 +121,9 @@ SelectionTick(benchmark::State& state, SchedulerKind kind,
 
 /**
  * The observability overhead pair at the 16-core loaded operating point:
- * obs_off is the same configuration as BM_ParBs_indexed/16 but built
+ * obs_off is the same configuration as BM_ParBs_loaded/16 but built
  * through the observability-aware construction path with null sinks (the
- * CI gate holds it within 1% of BM_ParBs_indexed/16 — the zero-overhead-
+ * CI gate holds it within 1% of BM_ParBs_loaded/16 — the zero-overhead-
  * when-off claim of DESIGN.md §5f); obs_on attaches a live tracer ring and
  * latency anatomy and is informational.
  */
@@ -142,10 +134,8 @@ ObsTick(benchmark::State& state, bool attach)
     constexpr std::uint32_t kCores = 16;
     obs::Tracer tracer(std::size_t{1} << 16);
     obs::LatencyAnatomy latency(kCores);
-    auto controller =
-        LoadedController(SchedulerKind::kParBs, kFullBuffer,
-                         /*fast_path=*/true, kCores, /*indexed=*/true,
-                         /*write_fraction=*/0.0);
+    auto controller = LoadedController(SchedulerKind::kParBs, kFullBuffer,
+                                       kCores, /*write_fraction=*/0.0);
     if (attach) {
         controller->AttachObservability(&tracer, &latency, 0);
     }
@@ -156,9 +146,7 @@ ObsTick(benchmark::State& state, bool attach)
         if (controller->pending_reads() < kFullBuffer / 2) {
             state.PauseTiming();
             controller = LoadedController(SchedulerKind::kParBs, kFullBuffer,
-                                          /*fast_path=*/true, kCores,
-                                          /*indexed=*/true,
-                                          /*write_fraction=*/0.0);
+                                          kCores, /*write_fraction=*/0.0);
             if (attach) {
                 controller->AttachObservability(&tracer, &latency, 0);
             }
@@ -171,7 +159,7 @@ ObsTick(benchmark::State& state, bool attach)
 
 /**
  * The RAS overhead pair at the 16-core loaded operating point: ras_off is
- * BM_ParBs_indexed/16 with the RAS hooks compiled in but disabled (the CI
+ * BM_ParBs_loaded/16 with the RAS hooks compiled in but disabled (the CI
  * gate holds it within 1% — RAS must be free when off); ras_on runs the
  * deterministic error model at a realistic 1e-4 transient rate and is
  * informational.
@@ -186,10 +174,9 @@ RasTick(benchmark::State& state, bool enabled)
         config.ras.transient_error_rate = enabled ? 1e-4 : 0.0;
         config.ras.seed = 99;
     };
-    auto controller =
-        LoadedController(SchedulerKind::kParBs, kFullBuffer,
-                         /*fast_path=*/true, kCores, /*indexed=*/true,
-                         /*write_fraction=*/0.0, customize);
+    auto controller = LoadedController(SchedulerKind::kParBs, kFullBuffer,
+                                       kCores, /*write_fraction=*/0.0,
+                                       customize);
     DramCycle now = 0;
     for (auto _ : state) {
         controller->Tick(now);
@@ -197,9 +184,8 @@ RasTick(benchmark::State& state, bool enabled)
         if (controller->pending_reads() < kFullBuffer / 2) {
             state.PauseTiming();
             controller = LoadedController(SchedulerKind::kParBs, kFullBuffer,
-                                          /*fast_path=*/true, kCores,
-                                          /*indexed=*/true,
-                                          /*write_fraction=*/0.0, customize);
+                                          kCores, /*write_fraction=*/0.0,
+                                          customize);
             now = 0;
             state.ResumeTiming();
         }
@@ -208,14 +194,13 @@ RasTick(benchmark::State& state, bool enabled)
 }
 
 /**
- * Per-tick cost on a drained controller: with the fast path the first
- * tick computes a kNever bound and every further tick is a pure skip;
- * without it, every tick re-scans the empty queues.
+ * Per-tick cost on a drained controller: the first tick computes a kNever
+ * bound and every further tick is a pure skip.
  */
 void
-IdleTick(benchmark::State& state, bool fast_path)
+BM_IdleTick_skip(benchmark::State& state)
 {
-    auto controller = LoadedController(SchedulerKind::kParBs, 0, fast_path);
+    auto controller = LoadedController(SchedulerKind::kParBs, 0);
     DramCycle now = 0;
     for (auto _ : state) {
         controller->Tick(now);
@@ -310,34 +295,18 @@ void BM_Bliss(benchmark::State& s)
 {
     SchedulerTick(s, SchedulerKind::kBliss);
 }
-void BM_FrFcfs_nofastpath(benchmark::State& s)
-{
-    SchedulerTick(s, SchedulerKind::kFrFcfs, /*fast_path=*/false);
-}
-void BM_ParBs_nofastpath(benchmark::State& s)
-{
-    SchedulerTick(s, SchedulerKind::kParBs, /*fast_path=*/false);
-}
-void BM_IdleTick_skip(benchmark::State& s) { IdleTick(s, true); }
-void BM_IdleTick_scan(benchmark::State& s) { IdleTick(s, false); }
 void BM_ParBs_obs_off(benchmark::State& s) { ObsTick(s, false); }
 void BM_ParBs_obs_on(benchmark::State& s) { ObsTick(s, true); }
 void BM_ParBs_ras_off(benchmark::State& s) { RasTick(s, false); }
 void BM_ParBs_ras_on(benchmark::State& s) { RasTick(s, true); }
 
-#define PARBS_SELECTION_PAIR(Name, Kind)                                    \
-    void BM_##Name##_indexed(benchmark::State& s)                           \
+#define PARBS_SELECTION_BENCH(Name, Kind)                                   \
+    void BM_##Name##_loaded(benchmark::State& s)                            \
     {                                                                       \
         SelectionTick(s, SchedulerKind::Kind,                               \
-                      static_cast<std::uint32_t>(s.range(0)), true);        \
+                      static_cast<std::uint32_t>(s.range(0)));              \
     }                                                                       \
-    void BM_##Name##_scan(benchmark::State& s)                              \
-    {                                                                       \
-        SelectionTick(s, SchedulerKind::Kind,                               \
-                      static_cast<std::uint32_t>(s.range(0)), false);       \
-    }                                                                       \
-    BENCHMARK(BM_##Name##_indexed)->Arg(4)->Arg(8)->Arg(16);                \
-    BENCHMARK(BM_##Name##_scan)->Arg(4)->Arg(8)->Arg(16)
+    BENCHMARK(BM_##Name##_loaded)->Arg(4)->Arg(8)->Arg(16)
 
 BENCHMARK(BM_Fcfs);
 BENCHMARK(BM_FrFcfs);
@@ -345,16 +314,13 @@ BENCHMARK(BM_Nfq);
 BENCHMARK(BM_Stfm);
 BENCHMARK(BM_ParBs);
 BENCHMARK(BM_Bliss);
-PARBS_SELECTION_PAIR(Fcfs, kFcfs);
-PARBS_SELECTION_PAIR(FrFcfs, kFrFcfs);
-PARBS_SELECTION_PAIR(Nfq, kNfq);
-PARBS_SELECTION_PAIR(Stfm, kStfm);
-PARBS_SELECTION_PAIR(ParBs, kParBs);
-PARBS_SELECTION_PAIR(Bliss, kBliss);
-BENCHMARK(BM_FrFcfs_nofastpath);
-BENCHMARK(BM_ParBs_nofastpath);
+PARBS_SELECTION_BENCH(Fcfs, kFcfs);
+PARBS_SELECTION_BENCH(FrFcfs, kFrFcfs);
+PARBS_SELECTION_BENCH(Nfq, kNfq);
+PARBS_SELECTION_BENCH(Stfm, kStfm);
+PARBS_SELECTION_BENCH(ParBs, kParBs);
+PARBS_SELECTION_BENCH(Bliss, kBliss);
 BENCHMARK(BM_IdleTick_skip);
-BENCHMARK(BM_IdleTick_scan);
 BENCHMARK(BM_ParBs_obs_off);
 BENCHMARK(BM_ParBs_obs_on);
 BENCHMARK(BM_ParBs_ras_off);

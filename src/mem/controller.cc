@@ -20,9 +20,6 @@ ControllerConfig::Validate() const
         PARBS_FATAL("controller: write drain watermarks must satisfy "
                     "low <= high <= capacity");
     }
-    if (verify_sample_period == 0) {
-        PARBS_FATAL("controller: verify_sample_period must be >= 1");
-    }
     watchdog.Validate();
     ras.Validate();
 }
@@ -59,8 +56,8 @@ Controller::Controller(const ControllerConfig& config,
                 config_.ras.scrub_demote_reads);
             // The skip-ahead bound does not model the scrub clock, and
             // scrub decisions happen exactly on the idle cycles the fast
-            // path would skip: force the full per-cycle scan.
-            config_.fast_path = false;
+            // path would skip: run the full per-cycle scan.
+            fast_path_ = false;
         }
     }
     if (config_.watchdog.enabled) {
@@ -119,7 +116,7 @@ Controller::Tick(DramCycle now)
 {
     // Retirement fast path: in-burst completion cycles are known at issue
     // time, so the scan is pointless before the earliest of them.
-    if (!config_.fast_path || now >= next_retire_check_) {
+    if (!fast_path_ || now >= next_retire_check_) {
         RetireFinished(now);
     }
     scheduler_->OnDramCycle(now);
@@ -136,7 +133,7 @@ Controller::Tick(DramCycle now)
         // drain watermark state is kept cycle-exact by RetireFinished
         // (retirement is the only event that changes queue sizes during a
         // skip window; see the note there).
-        if (!config_.fast_path || now >= next_select_cycle_) {
+        if (!fast_path_ || now >= next_select_cycle_) {
             fast_stats_.select_scans += 1;
             if (tracer_ != nullptr) {
                 FlushSkipSpan();
@@ -157,7 +154,7 @@ Controller::Tick(DramCycle now)
                 IssueFor(*chosen, now);
             } else if (scrubber_ != nullptr && TryScrub(now)) {
                 // Patrol scrub used the otherwise-idle cycle.
-            } else if (config_.fast_path) {
+            } else if (fast_path_) {
                 next_select_cycle_ = NextReadyBound(now);
             }
         } else {
@@ -167,11 +164,6 @@ Controller::Tick(DramCycle now)
                     skip_span_start_ = now;
                 }
                 skip_span_len_ += 1;
-            }
-            if (config_.verify_fast_path) {
-                PARBS_ASSERT(!AnyCommandReady(now),
-                             "fast path skipped a cycle with a ready "
-                             "command");
             }
         }
     }
@@ -389,29 +381,6 @@ Controller::HandleRefresh(DramCycle now)
     return false;
 }
 
-MemRequest*
-Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
-{
-    MemRequest* chosen = config_.indexed_selection
-                             ? SelectIndexed(queue, now)
-                             : SelectScan(queue, now);
-    // Cross-check: both paths must agree on every pick.  Sound only for
-    // deterministic schedulers — a chaos wrapper draws fresh randomness on
-    // each Pick(), so re-running selection would change its stream.  Above
-    // period 1 the check samples every Nth decision: divergence is a
-    // deterministic function of controller state, so sampling delays
-    // detection but never misses a diverged run (see ControllerConfig).
-    if (config_.verify_indexed_selection && scheduler_->DeterministicPick() &&
-        (++verify_decisions_ % config_.verify_sample_period) == 0) {
-        MemRequest* reference = config_.indexed_selection
-                                    ? SelectScan(queue, now)
-                                    : SelectIndexed(queue, now);
-        PARBS_ASSERT(chosen == reference,
-                     "indexed selection diverged from the full-scan path");
-    }
-    return chosen;
-}
-
 Controller::BankIssueOptions
 Controller::BankCouldIssue(const dram::Bank& bank, std::uint32_t rank,
                            std::uint32_t bank_in_rank, bool is_write_queue,
@@ -437,7 +406,7 @@ Controller::BankCouldIssue(const dram::Bank& bank, std::uint32_t rank,
 }
 
 MemRequest*
-Controller::SelectIndexed(const RequestQueue& queue, DramCycle now)
+Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
 {
     if (queue.Empty()) {
         return nullptr;
@@ -488,78 +457,6 @@ Controller::SelectIndexed(const RequestQueue& queue, DramCycle now)
         // Legality per type was already probed above; no repeat CanIssue.
         if (options.Allows(candidate.next_command)) {
             finalists_.push_back(candidate);
-        }
-    }
-    if (finalists_.empty()) {
-        return nullptr;
-    }
-    return scheduler_->Pick(finalists_, now);
-}
-
-MemRequest*
-Controller::SelectScan(const RequestQueue& queue, DramCycle now)
-{
-    if (queue.Empty()) {
-        return nullptr;
-    }
-    const bool refresh_active =
-        config_.enable_refresh && channel_.timing().tREFI != 0;
-
-    // Level 1: group queued requests by bank.
-    per_bank_.resize(queue.num_banks());
-    for (auto& bank_candidates : per_bank_) {
-        bank_candidates.clear();
-    }
-    for (MemRequest* request : queue.requests()) {
-        if (request->state != RequestState::kQueued) {
-            continue;
-        }
-        // A rank with an overdue refresh accepts no new commands until the
-        // refresh has been performed (starvation-free refresh guarantee).
-        if (refresh_active &&
-            channel_.rank(request->coords.rank).RefreshDue(now)) {
-            continue;
-        }
-        // Retry-backoff hold: mirrors the indexed path's bank skip.
-        if (ras_ != nullptr && ras_->BankHoldUntil(FlatBank(*request)) > now) {
-            continue;
-        }
-        const dram::Bank& bank =
-            channel_.bank(request->coords.rank, request->coords.bank);
-        Candidate candidate;
-        candidate.request = request;
-        candidate.next_command =
-            bank.NextCommandFor(request->coords.row, request->is_write);
-        candidate.row_hit = bank.open_row() == request->coords.row;
-        candidate.row_open_since = bank.open_since();
-        per_bank_[FlatBank(*request)].push_back(candidate);
-    }
-
-    // Level 2: each bank's scheduler-chosen request becomes a finalist if
-    // its next command passes every timing check *now*.
-    finalists_.clear();
-    for (const auto& bank_candidates : per_bank_) {
-        if (bank_candidates.empty()) {
-            continue;
-        }
-        MemRequest* winner = scheduler_->Pick(bank_candidates, now);
-        if (winner == nullptr) {
-            continue;
-        }
-        const Candidate* candidate = nullptr;
-        for (const Candidate& c : bank_candidates) {
-            if (c.request == winner) {
-                candidate = &c;
-                break;
-            }
-        }
-        PARBS_ASSERT(candidate != nullptr,
-                     "scheduler picked a request outside the bank pool");
-        dram::Command command{candidate->next_command,
-                              winner->coords.rank, winner->coords.bank,
-                              winner->coords.row};
-        if (channel_.CanIssue(command, now)) {
-            finalists_.push_back(*candidate);
         }
     }
     if (finalists_.empty()) {
@@ -868,11 +765,9 @@ Controller::RecordCommand(dram::CommandType type, DramCycle now,
 DramCycle
 Controller::NextReadyBound(DramCycle now) const
 {
-    // One walk over the per-bank chains serves both the selection
-    // skip-ahead bound and (via AnyCommandReady) the fast-path verifier:
-    // the chains hold exactly the queued requests, so the bound equals the
-    // old full-buffer scan's, while empty banks and in-burst requests cost
-    // nothing.
+    // One walk over the per-bank chains: the chains hold exactly the
+    // queued requests, so the bound equals a full-buffer scan's, while
+    // empty banks and in-burst requests cost nothing.
     const bool refresh_active =
         config_.enable_refresh && channel_.timing().tREFI != 0;
     const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();

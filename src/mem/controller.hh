@@ -56,46 +56,6 @@ struct ControllerConfig {
      * violation throws ProtocolError with full command-history context.
      */
     bool protocol_check = false;
-    /**
-     * Per-cycle fast path: skip the candidate scan on cycles where the
-     * cached next-event bound proves no command can become ready, and skip
-     * the retirement scan until the earliest in-flight burst completes.
-     * Exactness-preserving (the bound is derived from the same bank / rank
-     * / bus timers CanIssue checks), so this is only ever disabled to
-     * cross-check the fast path against the exhaustive per-cycle scan.
-     */
-    bool fast_path = true;
-    /**
-     * On every cycle the fast path skips, re-scan exhaustively and abort
-     * if a ready command was skippable — the skip-ahead analogue of the
-     * protocol checker, enabled alongside it in validation runs.
-     */
-    bool verify_fast_path = false;
-    /**
-     * Per-bank indexed selection (DESIGN.md §5e): gather candidates from
-     * the request buffer's per-bank chains, skip banks whose timing FSM
-     * cannot issue any candidate command this cycle, and let the scheduler
-     * memoize per-bank winners.  Exactness-preserving (same winner as the
-     * full-buffer scan every cycle), so this is only ever disabled to
-     * cross-check or to benchmark the scan path.
-     */
-    bool indexed_selection = true;
-    /**
-     * Run *both* selection paths every selection cycle and abort if they
-     * disagree — the selection analogue of verify_fast_path, enabled
-     * alongside it in validation runs.  Skipped automatically for
-     * schedulers whose Pick() is not deterministic (scheduler chaos).
-     */
-    bool verify_indexed_selection = false;
-    /**
-     * Cross-check every Nth selection decision instead of every one (1 =
-     * exhaustive).  Divergence between the indexed and scan paths is a
-     * deterministic function of the buffer/timing state, so once state
-     * diverges it stays diverged and a sampled check still catches it —
-     * sampling only delays detection, never changes results.  Validation
-     * runs above 32 cores use this to keep PARBS_CHECK wall-clock sane.
-     */
-    std::uint32_t verify_sample_period = 1;
     /** Forward-progress watchdog (starvation / batch / deadlock bounds). */
     WatchdogConfig watchdog;
     /**
@@ -103,9 +63,9 @@ struct ControllerConfig {
      * with bounded retry + row retirement, and patrol scrubbing (DESIGN.md
      * §6).  Disabled by default; when disabled no RAS state is allocated
      * and every hook is one null-pointer branch (the PR 5 discipline).
-     * Note: enabling the scrubber forces fast_path off — the skip-ahead
-     * bound does not model the scrub clock, and scrub decisions are made
-     * on idle cycles the fast path would otherwise skip.
+     * Note: enabling the scrubber turns the skip-ahead fast path off — the
+     * skip-ahead bound does not model the scrub clock, and scrub decisions
+     * are made on idle cycles the fast path would otherwise skip.
      */
     RasConfig ras;
 
@@ -331,9 +291,16 @@ class Controller {
     /** Number of banks with >= 1 in-service request, per thread. */
     std::vector<std::uint32_t> busy_banks_;
 
-    /** Scratch buffers reused across cycles. */
-    std::vector<std::vector<Candidate>> per_bank_;
+    /** Finalist scratch buffer reused across cycles. */
     std::vector<Candidate> finalists_;
+
+    /**
+     * Skip-ahead fast path: skip selection on cycles where the cached
+     * next-event bound proves no command can become ready, and skip the
+     * retirement scan until the earliest in-flight burst completes.  Off
+     * only when a patrol scrubber runs (see ControllerConfig::ras).
+     */
+    bool fast_path_ = true;
 
     /**
      * Next-event caches (see DESIGN.md "Hot-loop fast path").  Both are
@@ -376,9 +343,6 @@ class Controller {
 
     FastPathStats fast_stats_;
 
-    /** Selection decisions seen by the sampled verify cross-check. */
-    std::uint64_t verify_decisions_ = 0;
-
     void RetireFinished(DramCycle now);
     /** @return true if a refresh-related command consumed this cycle. */
     bool HandleRefresh(DramCycle now);
@@ -392,23 +356,14 @@ class Controller {
      * capture a bank under FR-FCFS and lets PAR-BS's marked requests own
      * their banks.
      *
-     * Dispatches to SelectIndexed or SelectScan per the config, and under
-     * verify_indexed_selection runs both and asserts they agree.
+     * Indexed (DESIGN.md §5e): walks the queue's per-bank chains, skips
+     * refresh-blocked, held and timing-blocked banks (BankCouldIssue), and
+     * asks the scheduler for each remaining bank's memoized winner —
+     * O(banks + queued-in-contending-banks) per cycle instead of
+     * O(buffered requests).
      * @return the chosen request, or nullptr if nothing can issue.
      */
     MemRequest* SelectRequest(const RequestQueue& queue, DramCycle now);
-
-    /**
-     * Indexed selection (DESIGN.md §5e): walk the queue's per-bank chains,
-     * skip refresh-blocked and timing-blocked banks (BankCouldIssue), ask
-     * the scheduler for each remaining bank's memoized winner, and pick
-     * among the ready winners.  O(banks + queued-in-contending-banks) per
-     * cycle instead of O(buffered requests).
-     */
-    MemRequest* SelectIndexed(const RequestQueue& queue, DramCycle now);
-
-    /** Reference selection: the original full-buffer scan. */
-    MemRequest* SelectScan(const RequestQueue& queue, DramCycle now);
 
     /**
      * Per-command-type issue legality for one bank.  Timing legality is
@@ -491,20 +446,10 @@ class Controller {
      * candidates exist (or all sit behind an overdue refresh, which must
      * issue — and therefore invalidate — first).  Walks the per-bank
      * chains, so empty banks cost nothing and in-burst requests are never
-     * visited.
+     * visited.  A bound that is too late skips a cycle that had a ready
+     * pick; the scan oracle in tests/oracle/ fails on exactly that.
      */
     DramCycle NextReadyBound(DramCycle now) const;
-
-    /**
-     * @return true if any queued candidate passes CanIssue at @p now.
-     * Exactly NextReadyBound(now) <= now by the channel's EarliestIssue
-     * contract (CanIssue(cmd, t) == (t >= EarliestIssue(cmd)) until the
-     * next issue).
-     */
-    bool AnyCommandReady(DramCycle now) const
-    {
-        return NextReadyBound(now) <= now;
-    }
 
     /** Recomputes next_retire_check_ from the in-burst requests. */
     void RecomputeNextRetire();

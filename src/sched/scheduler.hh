@@ -101,18 +101,20 @@ class Scheduler {
      * buffer, and delegates to Pick(); ComparatorScheduler overrides it
      * with a memoized chain walk.  Requires context.channel.
      *
-     * Must agree with Pick() run over the same candidates: the controller's
-     * verify_indexed_selection mode cross-checks exactly that.
+     * Must agree with Pick() run over the same candidates: the scan oracle
+     * in tests/oracle/ replays every DRAM cycle's selection through Pick()
+     * alone and fails on any difference (a stale memoized winner, say).
      */
     virtual MemRequest* PickInBank(const RequestQueue& queue,
                                    std::uint32_t bank, DramCycle now);
 
     /**
      * True if Pick() is a pure function of (candidates, now, scheduler
-     * state) — no RNG draws or other side effects.  The controller's
-     * verify_indexed_selection cross-check re-runs selection and is only
-     * sound for deterministic schedulers; fault-injection wrappers that
-     * draw random numbers in Pick() return false.
+     * state) — no RNG draws or other side effects.  The scan oracle in
+     * tests/oracle/ calls Pick() a second time each cycle, which is only
+     * sound for deterministic schedulers, so it switches itself off when
+     * this is false; fault-injection wrappers that draw random numbers in
+     * Pick() return false.
      */
     virtual bool DeterministicPick() const { return true; }
 

@@ -1,8 +1,19 @@
 #include "sim/config.hh"
 
+#include <cstdlib>
+
 #include "common/assert.hh"
 
 namespace parbs {
+
+void
+ApplyCheckEnvironment(SystemConfig& config)
+{
+    const char* check = std::getenv("PARBS_CHECK");
+    if (check != nullptr && check[0] != '\0' && check[0] != '0') {
+        config.controller.protocol_check = true;
+    }
+}
 
 void
 SystemConfig::Validate() const

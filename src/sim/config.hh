@@ -105,6 +105,15 @@ struct SystemConfig {
 
 #pragma GCC diagnostic pop
 
+/**
+ * The PARBS_CHECK contract shared by every bench binary: when the
+ * environment variable is set to anything but empty or "0", turns on the
+ * shadow protocol checker (ControllerConfig::protocol_check) for @p config.
+ * Selection exactness is not a run-time check; the test suite's scan
+ * oracle covers it.
+ */
+void ApplyCheckEnvironment(SystemConfig& config);
+
 } // namespace parbs
 
 #endif // PARBS_SIM_CONFIG_HH

@@ -58,23 +58,7 @@ ExperimentConfig::MakeSystemConfig(const SchedulerConfig& scheduler) const
     // PARBS_CHECK=1 re-validates every DRAM command of every experiment
     // against the shadow protocol model (a model-validation run; a few
     // percent slower, so opt-in from the environment).
-    const char* check = std::getenv("PARBS_CHECK");
-    if (check != nullptr && check[0] != '\0' && check[0] != '0') {
-        system.controller.protocol_check = true;
-        // The skip-ahead analogue of the protocol check: every skipped
-        // cycle is re-scanned to prove no ready command was skippable.
-        system.controller.verify_fast_path = true;
-        // And the selection analogue: every pick made by the indexed
-        // per-bank path is cross-checked against the full-scan path.
-        system.controller.verify_indexed_selection = true;
-        // Above 32 cores the double selection dominates validation wall-
-        // clock, so sample every 61st decision there (61 is prime, so the
-        // sample never locks onto a periodic scheduler pattern).  Sound:
-        // a divergence is a deterministic function of controller state and
-        // persists once it appears, so sampling delays detection by a
-        // bounded number of decisions but cannot miss a diverged run.
-        system.controller.verify_sample_period = cores > 32 ? 61 : 1;
-    }
+    ApplyCheckEnvironment(system);
     if (!EffectiveTracePath().empty()) {
         system.observability.trace = true;
         system.observability.sample_interval = trace_sample_interval;

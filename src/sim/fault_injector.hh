@@ -137,8 +137,8 @@ class ChaosScheduler : public Scheduler {
     MemRequest* Pick(std::span<const Candidate> candidates,
                      DramCycle now) override;
     /** Pick() draws from the RNG, so re-running selection over the same
-     *  candidates changes the decision stream: the controller must not
-     *  cross-check indexed against scan selection under chaos. */
+     *  candidates changes the decision stream: a selection cross-check
+     *  must not replay picks under chaos. */
     bool DeterministicPick() const override { return false; }
     void OnRequestQueued(MemRequest& request, DramCycle now) override;
     void OnCommandIssued(const MemRequest& request,

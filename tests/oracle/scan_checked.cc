@@ -1,0 +1,281 @@
+#include "oracle/scan_checked.hh"
+
+#include <sstream>
+
+#include "common/assert.hh"
+#include "dram/channel.hh"
+#include "sched/factory.hh"
+#include "sim/config.hh"
+#include "sim/system.hh"
+
+namespace parbs::oracle {
+
+ScanChecked::ScanChecked(std::unique_ptr<Scheduler> inner,
+                         const ControllerConfig& config)
+    : inner_(std::move(inner)), config_(config)
+{
+    PARBS_ASSERT(inner_ != nullptr, "scan oracle needs a scheduler to wrap");
+}
+
+void
+ScanChecked::Attach(const SchedulerContext& context)
+{
+    PARBS_ASSERT(context.write_queue != nullptr &&
+                     context.channel != nullptr && context.timing != nullptr,
+                 "scan oracle needs both queues, the channel and timing");
+    // The base keeps its own knob vectors so SetThreadPriority/Weight on
+    // this wrapper work; the wrapped scheduler does the real attaching.
+    Scheduler::Attach(context);
+    inner_->Attach(context);
+    per_bank_.assign(context.NumBanks(), {});
+}
+
+Scheduler&
+ScanChecked::Inner()
+{
+    if (inner_->observer() != observer_) {
+        inner_->SetObserver(observer_);
+    }
+    return *inner_;
+}
+
+MemRequest*
+ScanChecked::Pick(std::span<const Candidate> candidates, DramCycle now)
+{
+    return Inner().Pick(candidates, now);
+}
+
+MemRequest*
+ScanChecked::PickInBank(const RequestQueue& queue, std::uint32_t bank,
+                        DramCycle now)
+{
+    return Inner().PickInBank(queue, bank, now);
+}
+
+void
+ScanChecked::OnRequestQueued(MemRequest& request, DramCycle now)
+{
+    Inner().OnRequestQueued(request, now);
+}
+
+void
+ScanChecked::OnRequestComplete(const MemRequest& request, DramCycle now)
+{
+    Inner().OnRequestComplete(request, now);
+}
+
+void
+ScanChecked::OnSchedulingKnobChanged()
+{
+    inner_->SetObserver(nullptr);
+    for (ThreadId t = 0; t < priorities_.size(); ++t) {
+        if (inner_->thread_priority(t) != priorities_[t]) {
+            inner_->SetThreadPriority(t, priorities_[t]);
+        }
+        if (inner_->thread_weight(t) != weights_[t]) {
+            inner_->SetThreadWeight(t, weights_[t]);
+        }
+    }
+    inner_->SetObserver(observer_);
+}
+
+void
+ScanChecked::OnDramCycle(DramCycle now)
+{
+    Inner().OnDramCycle(now);
+    if (!inner_->DeterministicPick()) {
+        return;
+    }
+    if (config_.ras.enabled && bound_ == nullptr) {
+        throw std::logic_error(
+            "scan oracle: RAS is on but the oracle is not bound to its "
+            "controller (bank holds unknown)");
+    }
+    if (expected_ != nullptr) {
+        Fail("never issued request " + std::to_string(expected_->id) +
+                 ", the exhaustive scan's pick",
+             expected_cycle_);
+    }
+    cycles_checked_ += 1;
+
+    // Write-drain hysteresis, sampled every cycle like the per-cycle
+    // controller's RetireFinished does (refresh cycles included).
+    const std::size_t writes = context_.write_queue->size();
+    if (writes >= config_.write_drain_high) {
+        drain_ = true;
+    } else if (writes <= config_.write_drain_low) {
+        drain_ = false;
+    }
+
+    expected_cycle_ = now;
+    if (RefreshTakesCycle(now)) {
+        return;
+    }
+    MemRequest* chosen = nullptr;
+    if (drain_) {
+        chosen = Scan(*context_.write_queue, now);
+    }
+    if (chosen == nullptr) {
+        chosen = Scan(*context_.read_queue, now);
+    }
+    if (chosen == nullptr && !drain_) {
+        chosen = Scan(*context_.write_queue, now);
+    }
+    expected_ = chosen;
+    if (chosen != nullptr) {
+        picks_checked_ += 1;
+    }
+}
+
+void
+ScanChecked::OnCommandIssued(const MemRequest& request,
+                             const dram::Command& command, DramCycle now)
+{
+    if (inner_->DeterministicPick()) {
+        if (now != expected_cycle_ || &request != expected_) {
+            Fail("issued request " + std::to_string(request.id) +
+                     " but the exhaustive scan picks " +
+                     (expected_ == nullptr
+                          ? std::string("nothing")
+                          : "request " + std::to_string(expected_->id)),
+                 now);
+        }
+        expected_ = nullptr;
+    }
+    Inner().OnCommandIssued(request, command, now);
+}
+
+bool
+ScanChecked::RefreshTakesCycle(DramCycle now) const
+{
+    if (!config_.enable_refresh || context_.timing->tREFI == 0) {
+        return false;
+    }
+    const dram::Channel& channel = *context_.channel;
+    for (std::uint32_t r = 0; r < channel.num_ranks(); ++r) {
+        const dram::Rank& rank = channel.rank(r);
+        if (!rank.RefreshDue(now)) {
+            continue;
+        }
+        if (rank.CanRefresh(now)) {
+            return true;
+        }
+        for (std::uint32_t b : rank.OpenBanks()) {
+            if (channel.CanIssue({dram::CommandType::kPrecharge, r, b, 0},
+                                 now)) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+MemRequest*
+ScanChecked::Scan(const RequestQueue& queue, DramCycle now)
+{
+    if (queue.Empty()) {
+        return nullptr;
+    }
+    const dram::Channel& channel = *context_.channel;
+    const bool refresh_active =
+        config_.enable_refresh && context_.timing->tREFI != 0;
+    const RasEngine* ras = bound_ != nullptr ? bound_->ras() : nullptr;
+
+    // Level 1: group the queued requests by bank, in buffer order.
+    for (auto& bank_candidates : per_bank_) {
+        bank_candidates.clear();
+    }
+    for (MemRequest* request : queue.requests()) {
+        if (request->state != RequestState::kQueued) {
+            continue;
+        }
+        // A rank with an overdue refresh accepts no new commands until the
+        // refresh has been performed.
+        if (refresh_active &&
+            channel.rank(request->coords.rank).RefreshDue(now)) {
+            continue;
+        }
+        const std::uint32_t flat =
+            request->coords.rank * context_.banks_per_rank +
+            request->coords.bank;
+        if (ras != nullptr && ras->BankHoldUntil(flat) > now) {
+            continue;
+        }
+        const dram::Bank& bank =
+            channel.bank(request->coords.rank, request->coords.bank);
+        Candidate candidate;
+        candidate.request = request;
+        candidate.next_command =
+            bank.NextCommandFor(request->coords.row, request->is_write);
+        candidate.row_hit = bank.open_row() == request->coords.row;
+        candidate.row_open_since = bank.open_since();
+        per_bank_[flat].push_back(candidate);
+    }
+
+    // Level 2: each bank's winner is a finalist if its next command passes
+    // every timing check now; Pick() chooses among the finalists.
+    finalists_.clear();
+    for (const auto& bank_candidates : per_bank_) {
+        if (bank_candidates.empty()) {
+            continue;
+        }
+        MemRequest* winner = inner_->Pick(bank_candidates, now);
+        if (winner == nullptr) {
+            continue;
+        }
+        const Candidate* candidate = nullptr;
+        for (const Candidate& c : bank_candidates) {
+            if (c.request == winner) {
+                candidate = &c;
+                break;
+            }
+        }
+        PARBS_ASSERT(candidate != nullptr,
+                     "scheduler picked a request outside the bank pool");
+        if (channel.CanIssue({candidate->next_command, winner->coords.rank,
+                              winner->coords.bank, winner->coords.row},
+                             now)) {
+            finalists_.push_back(*candidate);
+        }
+    }
+    if (finalists_.empty()) {
+        return nullptr;
+    }
+    return inner_->Pick(finalists_, now);
+}
+
+void
+ScanChecked::Fail(const std::string& what, DramCycle now) const
+{
+    std::ostringstream message;
+    message << "scan oracle: " << inner_->name() << " at DRAM cycle " << now
+            << ": the controller " << what;
+    throw SelectionMismatch(message.str());
+}
+
+void
+InstallScanOracle(SystemConfig& config)
+{
+    config.scheduler_factory = [scheduler = config.scheduler,
+                                controller = config.controller] {
+        return std::make_unique<ScanChecked>(MakeScheduler(scheduler),
+                                             controller);
+    };
+}
+
+std::vector<ScanChecked*>
+BindScanOracles(System& system)
+{
+    std::vector<ScanChecked*> oracles;
+    for (std::uint32_t c = 0; c < system.num_controllers(); ++c) {
+        Controller& controller = system.controller(c);
+        auto* oracle = dynamic_cast<ScanChecked*>(&controller.scheduler());
+        PARBS_ASSERT(oracle != nullptr,
+                     "System was not built with InstallScanOracle");
+        oracle->Bind(controller);
+        oracles.push_back(oracle);
+    }
+    return oracles;
+}
+
+} // namespace parbs::oracle

@@ -1,0 +1,147 @@
+/**
+ * @file
+ * The per-cycle selection oracle the production controller is checked
+ * against (DESIGN.md §5d–§5e).
+ *
+ * ScanChecked decorates a Scheduler.  On every DRAM cycle, after the
+ * wrapped scheduler's own OnDramCycle hook, it predicts what the
+ * exhaustive per-cycle controller would issue: no request if an overdue
+ * refresh takes the cycle; otherwise the first pick of the drain-first /
+ * reads / writes order (write-drain hysteresis from the ControllerConfig
+ * watermarks), each pick a full-buffer scan that groups the queued
+ * requests by bank, asks Pick() for every bank's winner, keeps the winners
+ * whose next command passes CanIssue, and asks Pick() again among them.
+ * The scan shares nothing with the production path — no per-bank chains,
+ * BankCouldIssue prefilter, PickInBank memo or skip-ahead bound — so an
+ * OnCommandIssued for any other request, on any other cycle, or a
+ * predicted pick that never issues, throws SelectionMismatch.
+ *
+ * Everything else forwards to the wrapped scheduler, including its
+ * observer and its knob changes, so stats, engine counters and traces are
+ * the same with or without the oracle.  Schedulers whose Pick() is not
+ * deterministic (DeterministicPick() == false) are forwarded unchecked.
+ */
+
+#ifndef PARBS_TESTS_ORACLE_SCAN_CHECKED_HH
+#define PARBS_TESTS_ORACLE_SCAN_CHECKED_HH
+
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mem/controller.hh"
+#include "sched/scheduler.hh"
+
+namespace parbs {
+class System;
+struct SystemConfig;
+} // namespace parbs
+
+namespace parbs::oracle {
+
+/** The controller's selection differs from the exhaustive scan. */
+class SelectionMismatch : public std::logic_error {
+  public:
+    using std::logic_error::logic_error;
+};
+
+class ScanChecked final : public Scheduler {
+  public:
+    /** @p config supplies the refresh switch, the write-drain watermarks
+     *  and whether RAS is on; it must match the checked controller's. */
+    ScanChecked(std::unique_ptr<Scheduler> inner,
+                const ControllerConfig& config);
+
+    /**
+     * Reads @p controller's RAS retry-backoff bank holds.  Required when
+     * config.ras is enabled: an unbound oracle throws on its first cycle.
+     */
+    void Bind(const Controller& controller) { bound_ = &controller; }
+
+    /** DRAM cycles predicted (every OnDramCycle while checking). */
+    std::uint64_t cycles_checked() const { return cycles_checked_; }
+    /** Predicted cycles that issue a request, each one confirmed. */
+    std::uint64_t picks_checked() const { return picks_checked_; }
+
+    std::string name() const override { return inner_->name(); }
+    void Attach(const SchedulerContext& context) override;
+    MemRequest* Pick(std::span<const Candidate> candidates,
+                     DramCycle now) override;
+    MemRequest* PickInBank(const RequestQueue& queue, std::uint32_t bank,
+                           DramCycle now) override;
+    bool DeterministicPick() const override
+    {
+        return inner_->DeterministicPick();
+    }
+    void OnRequestQueued(MemRequest& request, DramCycle now) override;
+    void OnCommandIssued(const MemRequest& request,
+                         const dram::Command& command,
+                         DramCycle now) override;
+    void OnRequestComplete(const MemRequest& request,
+                           DramCycle now) override;
+    void OnDramCycle(DramCycle now) override;
+    std::vector<std::pair<std::string, double>> Stats() const override
+    {
+        return inner_->Stats();
+    }
+    std::uint64_t BatchOutstanding() const override
+    {
+        return inner_->BatchOutstanding();
+    }
+    PickMemoCounters MemoCounters() const override
+    {
+        return inner_->MemoCounters();
+    }
+
+  protected:
+    /** Forwards the knob that changed; the base already told the
+     *  observer, so the wrapped scheduler applies it silently. */
+    void OnSchedulingKnobChanged() override;
+
+  private:
+    /** The wrapped scheduler, with this wrapper's observer installed. */
+    Scheduler& Inner();
+
+    /** HandleRefresh's decision: an overdue refresh issues a REF or a
+     *  quiescing PRE this cycle. */
+    bool RefreshTakesCycle(DramCycle now) const;
+
+    /** Full-buffer two-level selection from @p queue. */
+    MemRequest* Scan(const RequestQueue& queue, DramCycle now);
+
+    [[noreturn]] void Fail(const std::string& what, DramCycle now) const;
+
+    std::unique_ptr<Scheduler> inner_;
+    ControllerConfig config_;
+    const Controller* bound_ = nullptr;
+
+    bool drain_ = false;
+    /** This cycle's predicted pick, until OnCommandIssued confirms it.
+     *  Still buffered while unconfirmed: a queued request leaves the
+     *  buffer only after a column command of its own issues. */
+    MemRequest* expected_ = nullptr;
+    DramCycle expected_cycle_ = 0;
+
+    std::uint64_t cycles_checked_ = 0;
+    std::uint64_t picks_checked_ = 0;
+
+    std::vector<std::vector<Candidate>> per_bank_;
+    std::vector<Candidate> finalists_;
+};
+
+/**
+ * Makes @p config build every channel's scheduler from config.scheduler,
+ * wrapped in a ScanChecked.  Call once config.controller is final.
+ */
+void InstallScanOracle(SystemConfig& config);
+
+/** Binds each channel's ScanChecked to its controller.
+ *  @pre the System was built from an InstallScanOracle config. */
+std::vector<ScanChecked*> BindScanOracles(System& system);
+
+} // namespace parbs::oracle
+
+#endif // PARBS_TESTS_ORACLE_SCAN_CHECKED_HH

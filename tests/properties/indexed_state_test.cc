@@ -3,8 +3,9 @@
  * Property tests for the per-bank index (DESIGN.md §5e): under randomized
  * add / remove / begin-service sequences the intrusive chains, occupancy
  * counters, and generations must always match a from-scratch rebuild of
- * the buffer, and indexed selection must be observationally identical to
- * the full-buffer scan for every deterministic scheduler.
+ * the buffer, and indexed selection must pick what the scan oracle's
+ * full-buffer scan picks on every DRAM cycle, for every scheduler in the
+ * factory registry.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +17,11 @@
 
 #include "common/rng.hh"
 #include "mem/request_queue.hh"
+#include "oracle/scan_checked.hh"
 #include "sched/factory.hh"
-#include "sim/system.hh"
+#include "sched/frfcfs.hh"
+#include "sim/fault_injector.hh"
 #include "test_util.hh"
-#include "trace/synthetic.hh"
 
 namespace parbs {
 namespace {
@@ -161,99 +163,111 @@ ConfigFor(SchedulerKind kind)
     return config;
 }
 
-/** Parameterized over the deterministic scheduler lineup. */
+/** A ControllerHarness whose scheduler is wrapped in the scan oracle. */
+struct CheckedHarness {
+    explicit CheckedHarness(
+        std::unique_ptr<Scheduler> scheduler,
+        ControllerConfig config = ControllerHarness::DefaultConfig(),
+        dram::TimingParams timing = test::TestTiming())
+        : owned(std::make_unique<oracle::ScanChecked>(std::move(scheduler),
+                                                      config)),
+          oracle(owned.get()),
+          h(std::move(owned), kThreads, config, timing)
+    {
+        oracle->Bind(h.controller());
+    }
+
+    std::unique_ptr<oracle::ScanChecked> owned;
+    oracle::ScanChecked* oracle;
+    ControllerHarness h;
+};
+
+/** Random reads and 20% writes over 8 banks x 16 rows, then drain. */
+void
+DriveRandomTraffic(ControllerHarness& h, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (int round = 0; round < 400; ++round) {
+        if (h.controller().pending_reads() < 100 &&
+            h.controller().pending_writes() < 50) {
+            h.Enqueue(static_cast<ThreadId>(rng.NextBelow(kThreads)),
+                      static_cast<std::uint32_t>(rng.NextBelow(8)),
+                      static_cast<std::uint32_t>(rng.NextBelow(16)),
+                      static_cast<std::uint32_t>(rng.NextBelow(32)),
+                      rng.NextBool(0.2));
+        }
+        h.Tick(static_cast<std::uint64_t>(rng.NextBelow(6)));
+    }
+    h.RunUntilIdle(200000);
+    EXPECT_EQ(h.controller().pending_reads(), 0u);
+    EXPECT_EQ(h.controller().pending_writes(), 0u);
+}
+
+/**
+ * Parameterized over the whole factory registry.  The scan oracle predicts
+ * every DRAM cycle from a full-buffer scan through Pick() alone and throws
+ * if the controller's indexed path (per-bank chains, BankCouldIssue
+ * prefilter, memoized PickInBank winners, skip-ahead bound) issues
+ * anything else.
+ */
 class IndexedSelectionExactness
     : public ::testing::TestWithParam<SchedulerKind> {};
 
-std::vector<std::unique_ptr<TraceSource>>
-SyntheticTraces(const SystemConfig& config, std::uint32_t count, double mpki)
-{
-    dram::AddressMapper mapper(config.geometry, config.xor_bank_hash);
-    std::vector<std::unique_ptr<TraceSource>> traces;
-    for (ThreadId t = 0; t < count; ++t) {
-        SyntheticParams params;
-        params.mpki = mpki;
-        traces.push_back(std::make_unique<SyntheticTraceSource>(
-            params, mapper, t, count, 4000 + t));
-    }
-    return traces;
-}
-
-/** Everything observable about a run that must not depend on the path. */
-std::vector<std::uint64_t>
-Fingerprint(SchedulerKind kind, bool indexed, double mpki)
-{
-    SystemConfig config = SystemConfig::Baseline(4);
-    config.scheduler.kind = kind;
-    config.controller.indexed_selection = indexed;
-    System system(config, SyntheticTraces(config, 4, mpki));
-    system.Run(200000);
-    std::vector<std::uint64_t> out;
-    for (ThreadId t = 0; t < 4; ++t) {
-        const ThreadMeasurement m = system.Measure(t);
-        out.push_back(m.requests);
-        out.push_back(m.instructions);
-        out.push_back(m.worst_case_latency);
-        out.push_back(static_cast<std::uint64_t>(m.row_hit_rate * 1e12));
-        out.push_back(static_cast<std::uint64_t>(m.blp * 1e12));
-    }
-    for (std::uint32_t c = 0; c < system.num_controllers(); ++c) {
-        const Controller& controller = system.controller(c);
-        out.push_back(
-            controller.commands_issued(dram::CommandType::kActivate));
-        out.push_back(
-            controller.commands_issued(dram::CommandType::kPrecharge));
-        out.push_back(controller.commands_issued(dram::CommandType::kRead));
-        out.push_back(controller.commands_issued(dram::CommandType::kWrite));
-    }
-    return out;
-}
-
 TEST_P(IndexedSelectionExactness, IndexedMatchesFullScanEndToEnd)
 {
-    // Saturated and idle-heavy traffic stress different memo lifetimes
-    // (standing chains vs constant link/unlink churn).
-    for (double mpki : {20.0, 2.0}) {
-        EXPECT_EQ(Fingerprint(GetParam(), true, mpki),
-                  Fingerprint(GetParam(), false, mpki))
-            << "indexed selection diverged at mpki " << mpki;
+    // The whole per-cycle order, end to end: frequent refresh (overdue-
+    // refresh cycles and refresh-blocked ranks), and a small write buffer
+    // with tight watermarks so the drain-first hysteresis flips many times.
+    ControllerConfig config = ControllerHarness::DefaultConfig();
+    config.enable_refresh = true;
+    config.write_queue_capacity = 16;
+    config.write_drain_high = 12;
+    config.write_drain_low = 4;
+    dram::TimingParams timing = test::TestTiming();
+    timing.tREFI = 300;
+    for (std::uint64_t scenario = 0; scenario < 2; ++scenario) {
+        CheckedHarness x(MakeScheduler(ConfigFor(GetParam())), config,
+                         timing);
+        Rng rng(ScenarioSeed(100 + scenario));
+        for (int round = 0; round < 400; ++round) {
+            const bool write = rng.NextBool(0.5);
+            if (write ? x.h.controller().CanAcceptWrite()
+                      : x.h.controller().pending_reads() < 100) {
+                x.h.Enqueue(static_cast<ThreadId>(rng.NextBelow(kThreads)),
+                            static_cast<std::uint32_t>(rng.NextBelow(8)),
+                            static_cast<std::uint32_t>(rng.NextBelow(16)),
+                            static_cast<std::uint32_t>(rng.NextBelow(32)),
+                            write);
+            }
+            x.h.Tick(static_cast<std::uint64_t>(rng.NextBelow(5)));
+        }
+        x.h.RunUntilIdle(200000);
+        EXPECT_EQ(x.h.controller().pending_reads(), 0u);
+        EXPECT_EQ(x.h.controller().pending_writes(), 0u);
+        EXPECT_GT(x.h.controller().commands_issued(
+                      dram::CommandType::kRefresh),
+                  0u);
+        EXPECT_EQ(x.oracle->cycles_checked(), x.h.now());
+        EXPECT_GT(x.oracle->picks_checked(), 0u);
     }
 }
 
 TEST_P(IndexedSelectionExactness, EveryPickCrossChecksUnderRandomTraffic)
 {
-    // verify_indexed_selection re-runs every pick through the full-scan
-    // path and asserts agreement — this exercises the memoized per-bank
-    // winners (and the row-hit state they embed) against a from-scratch
-    // recompute on every scheduling decision.
+    // Random traffic exercises the memoized per-bank winners (and the
+    // row-hit state they embed) against the from-scratch scan on every
+    // DRAM cycle, ticked or skipped.
     for (std::uint64_t scenario = 0; scenario < 4; ++scenario) {
-        ControllerConfig config = ControllerHarness::DefaultConfig();
-        config.verify_indexed_selection = true;
-        ControllerHarness h(MakeScheduler(ConfigFor(GetParam())), kThreads,
-                            config);
-        Rng rng(ScenarioSeed(scenario));
-        for (int round = 0; round < 400; ++round) {
-            if (h.controller().pending_reads() < 100 &&
-                h.controller().pending_writes() < 50) {
-                h.Enqueue(static_cast<ThreadId>(rng.NextBelow(kThreads)),
-                          static_cast<std::uint32_t>(rng.NextBelow(8)),
-                          static_cast<std::uint32_t>(rng.NextBelow(16)),
-                          static_cast<std::uint32_t>(rng.NextBelow(32)),
-                          rng.NextBool(0.2));
-            }
-            h.Tick(static_cast<std::uint64_t>(rng.NextBelow(6)));
-        }
-        h.RunUntilIdle(200000);
-        EXPECT_EQ(h.controller().pending_reads(), 0u);
-        EXPECT_EQ(h.controller().pending_writes(), 0u);
+        CheckedHarness x(MakeScheduler(ConfigFor(GetParam())));
+        DriveRandomTraffic(x.h, ScenarioSeed(scenario));
+        EXPECT_EQ(x.oracle->cycles_checked(), x.h.now());
+        EXPECT_GT(x.oracle->picks_checked(), 0u);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, IndexedSelectionExactness,
-    ::testing::Values(SchedulerKind::kFrFcfs, SchedulerKind::kFcfs,
-                      SchedulerKind::kNfq, SchedulerKind::kStfm,
-                      SchedulerKind::kParBs, SchedulerKind::kBliss),
+    ::testing::ValuesIn(AllSchedulerKinds()),
     [](const auto& info) {
         const std::string name = SchedulerKindName(info.param);
         std::string out;
@@ -264,6 +278,82 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return out;
     });
+
+/**
+ * The memo bug class: a bank's winner reused for as long as it stays
+ * queued, ignoring arrivals and row changes.  Always a queued request of
+ * the right bank, so nothing but a selection check can notice it.
+ */
+class StalePickScheduler final : public FrFcfsScheduler {
+  public:
+    void
+    Attach(const SchedulerContext& context) override
+    {
+        FrFcfsScheduler::Attach(context);
+        cached_.assign(static_cast<std::size_t>(context.NumBanks()) * 2,
+                       nullptr);
+    }
+
+    MemRequest*
+    PickInBank(const RequestQueue& queue, std::uint32_t bank,
+               DramCycle now) override
+    {
+        MemRequest*& cached =
+            cached_[bank * 2 + (&queue == context_.write_queue ? 1 : 0)];
+        bool queued = false;
+        for (const MemRequest* request : queue.BankQueued(bank)) {
+            queued = queued || request == cached;
+        }
+        if (!queued) {
+            cached = FrFcfsScheduler::PickInBank(queue, bank, now);
+        }
+        return cached;
+    }
+
+  private:
+    std::vector<MemRequest*> cached_;
+};
+
+TEST(ScanOracle, StalePickInBankFailsTheOracle)
+{
+    // Unchecked, the stale winners run to completion without complaint
+    // (every command they issue is legal)...
+    ControllerHarness unchecked(std::make_unique<StalePickScheduler>(),
+                                kThreads);
+    DriveRandomTraffic(unchecked, ScenarioSeed(7));
+    // ...while the oracle rejects the first pick that differs.
+    CheckedHarness x(std::make_unique<StalePickScheduler>());
+    EXPECT_THROW(DriveRandomTraffic(x.h, ScenarioSeed(7)),
+                 oracle::SelectionMismatch);
+}
+
+TEST(ScanOracle, RasBankHoldsAreHonoured)
+{
+    // Uncorrectable reads requeue under a retry-backoff bank hold; the
+    // bound oracle must see the holds the controller's indexed path skips.
+    ControllerConfig config = ControllerHarness::DefaultConfig();
+    config.ras.enabled = true;
+    config.ras.transient_error_rate = 0.05;
+    config.ras.transient_uncorrectable = 0.5;
+    config.ras.seed = 7;
+    CheckedHarness x(MakeScheduler(ConfigFor(SchedulerKind::kParBs)),
+                     config);
+    DriveRandomTraffic(x.h, ScenarioSeed(11));
+    ASSERT_NE(x.h.controller().ras(), nullptr);
+    EXPECT_GT(x.h.controller().ras()->stats().retries, 0u);
+    EXPECT_GT(x.oracle->picks_checked(), 0u);
+}
+
+TEST(ScanOracle, NondeterministicPickIsForwardedUnchecked)
+{
+    // Replaying a chaos wrapper's Pick() would change its RNG stream, so
+    // the oracle only forwards it.
+    CheckedHarness x(std::make_unique<ChaosScheduler>(
+        MakeScheduler(ConfigFor(SchedulerKind::kFrFcfs)), 42));
+    DriveRandomTraffic(x.h, ScenarioSeed(3));
+    EXPECT_EQ(x.oracle->cycles_checked(), 0u);
+    EXPECT_EQ(x.oracle->picks_checked(), 0u);
+}
 
 } // namespace
 } // namespace parbs

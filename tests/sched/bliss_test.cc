@@ -13,6 +13,7 @@
 
 #include "common/assert.hh"
 #include "common/rng.hh"
+#include "oracle/scan_checked.hh"
 #include "sched/bliss.hh"
 #include "sched/factory.hh"
 #include "test_util.hh"
@@ -191,32 +192,39 @@ TEST(Bliss, AdversarialStreamerCannotStarveALightThread)
 
 TEST(Bliss, MemoizedPicksCrossCheckAcrossBlacklistTransitions)
 {
-    // verify_indexed_selection recomputes every pick with a full scan and
-    // asserts agreement — driving random traffic across many blacklist
-    // sets and interval clears proves InvalidateBankPicks() is called on
-    // every comparator-visible transition (memo-epoch soundness).
-    ControllerConfig config = ControllerHarness::DefaultConfig();
-    config.verify_indexed_selection = true;
-    BlissHarness x(BlissConfig{4, 500}, 4, config);
+    // The scan oracle recomputes every DRAM cycle's pick with a full scan
+    // and throws on disagreement — driving random traffic across many
+    // blacklist sets and interval clears proves InvalidateBankPicks() is
+    // called on every comparator-visible transition (memo-epoch
+    // soundness).
+    auto owned = std::make_unique<BlissScheduler>(BlissConfig{4, 500});
+    BlissScheduler* bliss = owned.get();
+    const ControllerConfig config = ControllerHarness::DefaultConfig();
+    auto checked =
+        std::make_unique<oracle::ScanChecked>(std::move(owned), config);
+    oracle::ScanChecked* oracle = checked.get();
+    ControllerHarness h(std::move(checked), 4, config);
+    oracle->Bind(h.controller());
     Rng rng(0xB1155EED);
     for (int round = 0; round < 3000; ++round) {
-        if (x.h.controller().pending_reads() < 100 &&
-            x.h.controller().pending_writes() < 50) {
+        if (h.controller().pending_reads() < 100 &&
+            h.controller().pending_writes() < 50) {
             // Bias toward thread 0 so blacklisting actually triggers.
             const ThreadId thread = static_cast<ThreadId>(
                 rng.NextBool(0.5) ? 0 : rng.NextBelow(4));
-            x.h.Enqueue(thread,
-                        static_cast<std::uint32_t>(rng.NextBelow(8)),
-                        static_cast<std::uint32_t>(rng.NextBelow(4)),
-                        static_cast<std::uint32_t>(rng.NextBelow(32)),
-                        rng.NextBool(0.2));
+            h.Enqueue(thread, static_cast<std::uint32_t>(rng.NextBelow(8)),
+                      static_cast<std::uint32_t>(rng.NextBelow(4)),
+                      static_cast<std::uint32_t>(rng.NextBelow(32)),
+                      rng.NextBool(0.2));
         }
-        x.h.Tick(static_cast<std::uint64_t>(rng.NextBelow(4)));
+        h.Tick(static_cast<std::uint64_t>(rng.NextBelow(4)));
     }
-    x.h.RunUntilIdle(200000);
-    EXPECT_EQ(x.h.controller().pending_reads(), 0u);
-    EXPECT_EQ(x.h.controller().pending_writes(), 0u);
-    EXPECT_GE(x.bliss->Stats()[0].second, 1.0); // blacklist_events
+    h.RunUntilIdle(200000);
+    EXPECT_EQ(h.controller().pending_reads(), 0u);
+    EXPECT_EQ(h.controller().pending_writes(), 0u);
+    EXPECT_EQ(oracle->cycles_checked(), h.now());
+    EXPECT_GE(bliss->Stats()[0].second, 1.0); // blacklist_events
+    EXPECT_GE(bliss->Stats()[1].second, 1.0); // blacklist_clearings
 }
 
 TEST(Bliss, FactoryBuildsAndParsesBliss)

@@ -1,13 +1,17 @@
 /**
  * @file
- * Exactness tests for the controller's next-event fast path: skipping
- * selection scans and retirement checks must never change simulated
- * behavior, and verify mode must confirm that no skipped cycle had a
- * ready command (checked against the protocol checker's shadow model).
+ * Exactness tests for the controller's next-event fast path and indexed
+ * selection in a whole System: every DRAM cycle of a 4-core run is checked
+ * by the scan oracle (tests/oracle/scan_checked.hh), for every scheduler
+ * in the factory registry.  A skipped cycle that had a ready pick, or any
+ * pick that differs from the exhaustive per-cycle scan, throws; the
+ * oracle itself must not change a single measurement.
  */
 
 #include <gtest/gtest.h>
 
+#include "oracle/scan_checked.hh"
+#include "sched/factory.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
 
@@ -29,74 +33,95 @@ SyntheticTraces(const SystemConfig& config, std::uint32_t count,
     return traces;
 }
 
-/** Everything observable about a run that must not depend on fast_path. */
-std::vector<std::uint64_t>
-Fingerprint(SchedulerKind kind, bool fast_path, double mpki)
+/** Everything observable about a run, plus what the oracle saw. */
+struct CheckedRun {
+    std::vector<std::uint64_t> fingerprint;
+    std::uint64_t ticks = 0;        ///< select scans + skips, all channels
+    std::uint64_t skips = 0;
+    std::uint64_t cycles_checked = 0;
+    std::uint64_t picks_checked = 0;
+};
+
+CheckedRun
+RunSystem(SchedulerKind kind, double mpki, bool oracle,
+          bool protocol_check = false)
 {
     SystemConfig config = SystemConfig::Baseline(4);
     config.scheduler.kind = kind;
-    config.controller.fast_path = fast_path;
+    config.controller.protocol_check = protocol_check;
+    if (oracle) {
+        oracle::InstallScanOracle(config);
+    }
     System system(config, SyntheticTraces(config, 4, mpki));
+    std::vector<oracle::ScanChecked*> oracles;
+    if (oracle) {
+        oracles = oracle::BindScanOracles(system);
+    }
     system.Run(200000);
-    std::vector<std::uint64_t> out;
+
+    CheckedRun out;
     for (ThreadId t = 0; t < 4; ++t) {
         const ThreadMeasurement m = system.Measure(t);
-        out.push_back(m.requests);
-        out.push_back(m.instructions);
-        out.push_back(m.worst_case_latency);
-        out.push_back(static_cast<std::uint64_t>(m.row_hit_rate * 1e12));
-        out.push_back(static_cast<std::uint64_t>(m.blp * 1e12));
+        out.fingerprint.push_back(m.requests);
+        out.fingerprint.push_back(m.instructions);
+        out.fingerprint.push_back(m.worst_case_latency);
+        out.fingerprint.push_back(
+            static_cast<std::uint64_t>(m.row_hit_rate * 1e12));
+        out.fingerprint.push_back(static_cast<std::uint64_t>(m.blp * 1e12));
     }
     for (std::uint32_t c = 0; c < system.num_controllers(); ++c) {
         const Controller& controller = system.controller(c);
-        out.push_back(controller.commands_issued(dram::CommandType::kActivate));
-        out.push_back(controller.commands_issued(dram::CommandType::kPrecharge));
-        out.push_back(controller.commands_issued(dram::CommandType::kRead));
-        out.push_back(controller.commands_issued(dram::CommandType::kWrite));
+        for (dram::CommandType type :
+             {dram::CommandType::kActivate, dram::CommandType::kPrecharge,
+              dram::CommandType::kRead, dram::CommandType::kWrite}) {
+            out.fingerprint.push_back(controller.commands_issued(type));
+        }
+        const Controller::FastPathStats& fast = controller.fast_path_stats();
+        out.ticks += fast.select_scans + fast.select_skips;
+        out.skips += fast.select_skips;
+    }
+    for (const oracle::ScanChecked* checked : oracles) {
+        out.cycles_checked += checked->cycles_checked();
+        out.picks_checked += checked->picks_checked();
     }
     return out;
 }
 
-class FastPathExactness
-    : public ::testing::TestWithParam<SchedulerKind> {};
+class FastPathExactness : public ::testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(FastPathExactness, SkipAheadMatchesPerCycleScan)
 {
     // High-mpki saturated traffic and low-mpki idle-heavy traffic stress
-    // different skip windows (retirement-bound vs arrival-bound).
+    // different skip windows (retirement-bound vs arrival-bound).  The
+    // oracle throws on the first divergence; the unchecked run must then
+    // measure exactly the same.
     for (double mpki : {20.0, 2.0}) {
-        EXPECT_EQ(Fingerprint(GetParam(), true, mpki),
-                  Fingerprint(GetParam(), false, mpki))
-            << "fast path diverged at mpki " << mpki;
+        const CheckedRun checked =
+            RunSystem(GetParam(), mpki, /*oracle=*/true);
+        EXPECT_GT(checked.picks_checked, 0u) << "mpki " << mpki;
+        EXPECT_EQ(checked.fingerprint,
+                  RunSystem(GetParam(), mpki, /*oracle=*/false).fingerprint)
+            << "the oracle changed the run at mpki " << mpki;
     }
 }
 
 TEST_P(FastPathExactness, NoReadyCommandEverSkipped)
 {
-    // verify_fast_path asserts !AnyCommandReady on every skipped cycle;
-    // the protocol checker cross-validates every issued command against
-    // its shadow timing model.  Both throw/abort on violation.
-    SystemConfig config = SystemConfig::Baseline(4);
-    config.scheduler.kind = GetParam();
-    config.controller.fast_path = true;
-    config.controller.verify_fast_path = true;
-    config.controller.protocol_check = true;
-    System system(config, SyntheticTraces(config, 4));
-    system.Run(200000);
-
-    // The run must actually have exercised the skip path.
-    std::uint64_t skips = 0;
-    for (std::uint32_t c = 0; c < system.num_controllers(); ++c) {
-        skips += system.controller(c).fast_path_stats().select_skips;
-    }
-    EXPECT_GT(skips, 0u);
+    // The oracle predicts every DRAM cycle, skipped or scanned, and the
+    // protocol checker cross-validates every issued command against its
+    // shadow timing model.  Both throw on violation.
+    const CheckedRun run = RunSystem(GetParam(), 20.0, /*oracle=*/true,
+                                     /*protocol_check=*/true);
+    // The run must actually have exercised the skip path...
+    EXPECT_GT(run.skips, 0u);
+    // ...and the oracle must have seen every tick (refresh cycles, which
+    // neither scan nor skip, come on top).
+    EXPECT_GE(run.cycles_checked, run.ticks);
+    EXPECT_GT(run.picks_checked, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchedulers, FastPathExactness,
-    ::testing::Values(SchedulerKind::kFrFcfs, SchedulerKind::kFcfs,
-                      SchedulerKind::kNfq, SchedulerKind::kStfm,
-                      SchedulerKind::kParBs));
+INSTANTIATE_TEST_SUITE_P(AllSchedulers, FastPathExactness,
+                         ::testing::ValuesIn(AllSchedulerKinds()));
 
 } // namespace
 } // namespace parbs

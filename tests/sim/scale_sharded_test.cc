@@ -5,8 +5,9 @@
  * bit-identical to the naive per-cycle oracle (tests/oracle/) — same
  * stats bytes, same trace bytes, same stop cycle — for every scheduler
  * and channel-team size.  Also covers the machine-sized default team, the
- * generalized baseline geometries (128/256 cores scale by ranks), and the
- * sampled PARBS_CHECK selection cross-check.
+ * generalized baseline geometries (128/256 cores scale by ranks), and
+ * that the scan oracle (tests/oracle/scan_checked.hh) changes no byte of
+ * a 64-core run.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "common/json.hh"
 #include "oracle/reference_system.hh"
+#include "oracle/scan_checked.hh"
 #include "sched/factory.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
@@ -54,12 +56,11 @@ struct Artifacts {
     unsigned channel_jobs = 0;
 };
 
+/** Stop cycle, stats and (if traced) trace of a finished run. */
 template <typename SystemT>
 Artifacts
-RunSystem(const SystemConfig& config, std::uint32_t cores, CpuCycle cycles)
+Collect(SystemT& system, const SystemConfig& config)
 {
-    SystemT system(config, SyntheticTraces(config, cores));
-    system.Run(cycles);
     Artifacts out;
     out.stop = system.now();
     if constexpr (std::is_same_v<SystemT, System>) {
@@ -74,6 +75,15 @@ RunSystem(const SystemConfig& config, std::uint32_t cores, CpuCycle cycles)
         out.trace = trace.str();
     }
     return out;
+}
+
+template <typename SystemT>
+Artifacts
+RunSystem(const SystemConfig& config, std::uint32_t cores, CpuCycle cycles)
+{
+    SystemT system(config, SyntheticTraces(config, cores));
+    system.Run(cycles);
+    return Collect(system, config);
 }
 
 SystemConfig
@@ -186,24 +196,33 @@ TEST(ScaleSharded, BaselineGeometryScalesByRanksBeyond64Cores)
     EXPECT_THROW(SystemConfig::Baseline(64, 32), ConfigError);
 }
 
-TEST(ScaleSharded, SampledSelectionVerifyNeverChangesResults)
+TEST(ScaleSharded, ScanOracleIsObservationFree)
 {
-    // The sampled cross-check must be observation-free: period 61 and the
-    // exhaustive period 1 run the same simulation byte for byte (sampling
-    // only decides how often the redundant reference path re-runs).
+    // The scan oracle wraps every channel's scheduler and replays each
+    // DRAM cycle's selection through Pick(); on a 64-core run under the
+    // channel team it must not change a byte of the stats or the trace.
     SchedulerConfig scheduler;
     scheduler.kind = SchedulerKind::kParBs;
-    auto config = [&](std::uint32_t period) {
-        SystemConfig out = SystemConfig::Baseline(16);
-        out.scheduler = scheduler;
-        out.controller.verify_indexed_selection = true;
-        out.controller.verify_sample_period = period;
-        return out;
-    };
-    const Artifacts exhaustive = RunSystem<System>(config(1), 16, 40000);
-    const Artifacts sampled = RunSystem<System>(config(61), 16, 40000);
-    EXPECT_EQ(exhaustive.stop, sampled.stop);
-    EXPECT_EQ(exhaustive.stats, sampled.stats);
+    constexpr std::uint32_t kCores = 64;
+    constexpr CpuCycle kCycles = 25000;
+    const SystemConfig plain = TracedConfig(kCores, scheduler, 4);
+    SystemConfig checked = plain;
+    oracle::InstallScanOracle(checked);
+
+    System system(checked, SyntheticTraces(checked, kCores));
+    const std::vector<oracle::ScanChecked*> oracles =
+        oracle::BindScanOracles(system);
+    system.Run(kCycles);
+    const Artifacts with_oracle = Collect(system, checked);
+    std::uint64_t picks_checked = 0;
+    for (const oracle::ScanChecked* scan : oracles) {
+        picks_checked += scan->picks_checked();
+    }
+    const Artifacts without = RunSystem<System>(plain, kCores, kCycles);
+    EXPECT_GT(picks_checked, 0u);
+    EXPECT_EQ(with_oracle.stop, without.stop);
+    EXPECT_EQ(with_oracle.stats, without.stats);
+    EXPECT_EQ(with_oracle.trace, without.trace);
 }
 
 } // namespace
