@@ -21,16 +21,45 @@ Core::Core(const CoreConfig& config, ThreadId thread, TraceSource& trace,
     config_.Validate();
 }
 
-void
+bool
 Core::Tick()
 {
     stats_.cycles += 1;
-    Commit();
-    IssueMemory();
-    Fetch();
+    const bool committed = Commit();
+    const bool issued = IssueMemory();
+    const bool fetched = Fetch();
+    return committed || issued || fetched;
 }
 
 void
+Core::SkipQuiescentCycles(std::uint64_t n)
+{
+    stats_.cycles += n;
+    std::uint64_t* stall = HeadStallCounter();
+    PARBS_ASSERT(stall != nullptr || window_.empty(),
+                 "bulk-skipped a core that can commit");
+    if (stall != nullptr) {
+        *stall += n;
+    }
+}
+
+std::uint64_t*
+Core::HeadStallCounter()
+{
+    if (window_.empty()) {
+        return nullptr;
+    }
+    const Slot& head = window_.front();
+    if (head.kind == Slot::Kind::kLoad && !head.done) {
+        return &stats_.load_stall_cycles;
+    }
+    if (head.kind == Slot::Kind::kStore && !head.issued) {
+        return &stats_.store_stall_cycles;
+    }
+    return nullptr;
+}
+
+bool
 Core::Commit()
 {
     std::uint32_t budget = config_.width;
@@ -62,17 +91,15 @@ Core::Commit()
     }
     stats_.instructions += committed;
 
-    if (committed == 0 && !window_.empty()) {
-        const Slot& head = window_.front();
-        if (head.kind == Slot::Kind::kLoad && !head.done) {
-            stats_.load_stall_cycles += 1;
-        } else if (head.kind == Slot::Kind::kStore && !head.issued) {
-            stats_.store_stall_cycles += 1;
+    if (committed == 0) {
+        if (std::uint64_t* stall = HeadStallCounter()) {
+            *stall += 1;
         }
     }
+    return committed != 0;
 }
 
-void
+bool
 Core::IssueMemory()
 {
     // At most one memory operation issues per cycle (baseline: one of the
@@ -108,24 +135,29 @@ Core::IssueMemory()
             stats_.stores_issued += 1;
         }
         unissued_.erase(unissued_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
+        return true;
     }
+    return false;
 }
 
-void
+bool
 Core::Fetch()
 {
+    // Every pass through the loop below calls TraceSource::Next or moves
+    // instructions into the window, except on a drained trace.
+    const bool progress = window_occupancy_ < config_.window_size &&
+                          (fetching_.has_value() || !trace_exhausted_);
     std::uint32_t budget = config_.width;
     bool memory_fetched = false;
     while (budget > 0 && window_occupancy_ < config_.window_size) {
         if (!fetching_.has_value()) {
             if (trace_exhausted_) {
-                return;
+                return progress;
             }
             fetching_ = trace_.Next();
             if (!fetching_.has_value()) {
                 trace_exhausted_ = true;
-                return;
+                return progress;
             }
             fetch_compute_left_ = fetching_->compute_instructions;
         }
@@ -149,7 +181,7 @@ Core::Fetch()
         }
         // The entry's memory operation; at most one per cycle.
         if (memory_fetched) {
-            return;
+            return progress;
         }
         Slot slot;
         slot.kind = fetching_->is_write ? Slot::Kind::kStore
@@ -163,6 +195,7 @@ Core::Fetch()
         memory_fetched = true;
         fetching_.reset();
     }
+    return progress;
 }
 
 void

@@ -124,8 +124,25 @@ class Core {
     Core(const CoreConfig& config, ThreadId thread, TraceSource& trace,
          MemoryPort& port);
 
-    /** Advances the core by one CPU cycle. */
-    void Tick();
+    /**
+     * Advances the core by one CPU cycle.  @return whether the tick made
+     * progress: committed, issued or fetched anything (a TraceSource::Next
+     * call counts, since sources are stateful).  A tick without progress
+     * moved only `cycles` and at most one stall counter, and every later
+     * tick repeats it exactly until one of the core's reads returns or a
+     * queue that rejected it frees a slot (DESIGN.md §5g, "Dormant
+     * cores").  A done core never makes progress.
+     */
+    bool Tick();
+
+    /**
+     * Adds exactly what @p n more ticks without progress add: `cycles`,
+     * plus `load_stall_cycles` behind an outstanding load at the head or
+     * `store_stall_cycles` behind an unissued store.
+     * @pre the last Tick() returned false and nothing reached the core
+     *      since.
+     */
+    void SkipQuiescentCycles(std::uint64_t n);
 
     /** Notification that the DRAM read with @p id returned its data. */
     void OnReadComplete(RequestId id);
@@ -170,9 +187,14 @@ class Core {
 
     CoreStats stats_;
 
-    void Commit();
-    void IssueMemory();
-    void Fetch();
+    /** The stall counter a cycle without commit charges (null when the
+     *  window is empty or its head can commit). */
+    std::uint64_t* HeadStallCounter();
+
+    /** Each returns whether it made progress. */
+    bool Commit();
+    bool IssueMemory();
+    bool Fetch();
 };
 
 } // namespace parbs

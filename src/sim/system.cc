@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -118,6 +119,10 @@ System::System(const SystemConfig& config,
                                                 *traces_[thread], *this));
     }
     core_done_.assign(cores_.size(), 0);
+    // Every core starts asleep since cycle 0; PrepareRun wakes them all.
+    const std::size_t core_words = (cores_.size() + 63) / 64;
+    awake_.assign(core_words, 0);
+    asleep_since_.assign(cores_.size(), 0);
     active_cores_ = 0;
     for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
         if (cores_[thread]->Done()) {
@@ -146,6 +151,8 @@ System::System(const SystemConfig& config,
     }
     for (std::uint32_t channel = 0; channel < channels; ++channel) {
         auto shard = std::make_unique<ChannelShard>();
+        shard->read_waiters.assign(core_words, 0);
+        shard->write_waiters.assign(core_words, 0);
         if (obs_ != nullptr) {
             shard->tracer = std::make_unique<obs::Tracer>(StagingCapacity(
                 window_, read_capacity_, write_capacity_,
@@ -194,14 +201,78 @@ System::LookaheadWindow() const
 void
 System::TickCores()
 {
-    for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-        cores_[thread]->Tick();
-        // Done() is monotone and flips only inside Tick, so checking the
-        // transition here keeps the end-of-run probe O(1).
-        if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-            core_done_[thread] = 1;
-            active_cores_ -= 1;
+    // Wakes happen only before the sweep (retires, notifications): issuing
+    // only fills queues, so the awake set cannot grow mid-sweep.
+    for (std::size_t word = 0; word < awake_.size(); ++word) {
+        std::uint64_t pending = awake_[word];
+        while (pending != 0) {
+            const int bit = std::countr_zero(pending);
+            pending &= pending - 1;
+            const auto thread = static_cast<ThreadId>(word * 64 + bit);
+            Core& core = *cores_[thread];
+            rejected_.clear();
+            if (core.Tick()) {
+                // Done() is monotone and flips only on a tick that made
+                // progress, so checking here keeps the end-of-run probe
+                // O(1).
+                if (core_done_[thread] == 0 && core.Done()) {
+                    core_done_[thread] = 1;
+                    active_cores_ -= 1;
+                }
+                continue;
+            }
+            // Every later tick would repeat this one until a read returns
+            // or a queue that rejected the core frees a slot.
+            awake_[word] &= ~(std::uint64_t{1} << bit);
+            asleep_since_[thread] = cpu_cycle_ + 1;
+            for (const std::uint32_t queue : rejected_) {
+                ChannelShard& shard = *shards_[queue / 2];
+                std::vector<std::uint64_t>& waiters =
+                    queue % 2 == 0 ? shard.read_waiters : shard.write_waiters;
+                waiters[word] |= std::uint64_t{1} << bit;
+            }
         }
+    }
+}
+
+void
+System::WakeCore(ThreadId thread)
+{
+    std::uint64_t& word = awake_[thread / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (thread % 64);
+    if ((word & bit) != 0) {
+        return;
+    }
+    word |= bit;
+    // Account the skipped ticks before anything reaches the core.  A Run
+    // that unwinds mid-sweep leaves the cores that fell asleep in that
+    // sweep one cycle ahead of the clock, with nothing to add.
+    const std::uint64_t skipped = cpu_cycle_ > asleep_since_[thread]
+                                      ? cpu_cycle_ - asleep_since_[thread]
+                                      : 0;
+    cores_[thread]->SkipQuiescentCycles(skipped);
+    skipped_core_ticks_ += skipped;
+}
+
+void
+System::WakeWaiters(std::vector<std::uint64_t>& waiters)
+{
+    for (std::size_t word = 0; word < waiters.size(); ++word) {
+        std::uint64_t pending = waiters[word];
+        waiters[word] = 0;
+        while (pending != 0) {
+            WakeCore(static_cast<ThreadId>(word * 64 +
+                                           std::countr_zero(pending)));
+            pending &= pending - 1;
+        }
+    }
+}
+
+void
+System::WakeAllCores()
+{
+    for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
+        WakeCore(thread);
     }
 }
 
@@ -211,6 +282,7 @@ System::PrepareRun()
     const CpuCycle ratio = config_.cpu_to_dram_ratio;
     next_tick_ = (cpu_cycle_ + ratio - 1) / ratio;
     arrival_seq_ = 0;
+    WakeAllCores();
     if (sampler_ != nullptr && sample_interval_ > 0) {
         sampler_->PrepareChannels(controllers_);
     }
@@ -267,13 +339,18 @@ System::Run(CpuCycle cpu_cycles)
     PrepareRun();
 
     // Rebind the observability sinks to the per-channel staging buffers for
-    // the duration of the run — restored even if a watchdog error unwinds.
-    struct BindGuard {
+    // the duration of the run, and wake every core at its end so each
+    // Core::stats() is exact — both also when a watchdog error unwinds.
+    struct RunGuard {
         System& system;
-        ~BindGuard() { system.BindShardObservability(false); }
+        ~RunGuard()
+        {
+            system.WakeAllCores();
+            system.BindShardObservability(false);
+        }
     };
     BindShardObservability(true);
-    BindGuard guard{*this};
+    RunGuard guard{*this};
 
     bool all_done = false;
     while (cpu_cycle_ < end && !all_done) {
@@ -462,11 +539,13 @@ System::ApplyScheduledRetires(DramCycle tick)
             shard->read_retires[shard->read_pos].done <= tick) {
             shard->read_pos += 1;
             shard->read_size -= 1;
+            WakeWaiters(shard->read_waiters);
         }
         if (shard->write_pos < shard->write_retires.size() &&
             shard->write_retires[shard->write_pos] <= tick) {
             shard->write_pos += 1;
             shard->write_size -= 1;
+            WakeWaiters(shard->write_waiters);
         }
     }
 }
@@ -708,6 +787,7 @@ System::CheckGlobalProgress()
         out << "-- controller[" << channel << "] --\n"
             << controllers_[channel]->Diagnostics(DramNow());
     }
+    WakeAllCores();
     DumpStats(out);
     out << EngineStateDump();
     throw WatchdogError(out.str());
@@ -782,6 +862,7 @@ System::DeliverNotifications()
            notifications_.front().ready <= cpu_cycle_) {
         const PendingNotify n = notifications_.front();
         notifications_.pop_front();
+        WakeCore(n.thread);
         cores_[n.thread]->OnReadComplete(n.id);
     }
     next_notify_ready_ = notifications_.empty()
@@ -1035,6 +1116,7 @@ System::TryIssueRead(ThreadId thread, Addr addr)
     const dram::DecodedAddr coords = mapper_.Decode(addr);
     ChannelShard& shard = *shards_[coords.channel];
     if (shard.read_size >= read_capacity_) {
+        rejected_.push_back(2 * coords.channel);
         return std::nullopt;
     }
     RequestPtr request = MakeRequest(thread, addr, false, coords);
@@ -1054,6 +1136,7 @@ System::TryIssueWrite(ThreadId thread, Addr addr)
     const dram::DecodedAddr coords = mapper_.Decode(addr);
     ChannelShard& shard = *shards_[coords.channel];
     if (shard.write_size >= write_capacity_) {
+        rejected_.push_back(2 * coords.channel + 1);
         return false;
     }
     shard.write_size += 1;

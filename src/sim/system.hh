@@ -157,6 +157,12 @@ class System : public MemoryPort {
      *  §5g for the bound). */
     DramCycle lookahead_window() const { return window_; }
 
+    /** Core ticks the sweep skipped and accounted in bulk instead
+     *  (DESIGN.md §5g, "Dormant cores"); deterministic and the same at
+     *  every channel_jobs.  The cores' `cycles` minus this count is the
+     *  number of ticks the sweep ran. */
+    std::uint64_t skipped_core_ticks() const { return skipped_core_ticks_; }
+
     // --- MemoryPort -------------------------------------------------------
     std::optional<RequestId> TryIssueRead(ThreadId thread, Addr addr) override;
     bool TryIssueWrite(ThreadId thread, Addr addr) override;
@@ -229,6 +235,25 @@ class System : public MemoryPort {
     std::uint32_t active_cores_ = 0;
     std::vector<std::uint8_t> core_done_;
 
+    // --- dormant cores (DESIGN.md §5g) -------------------------------------
+
+    /** One bit per core, set while the sweep ticks it.  A core sleeps
+     *  after a tick without progress, until WakeCore. */
+    std::vector<std::uint64_t> awake_;
+    /** Per sleeping core: the first CPU cycle it was not ticked for. */
+    std::vector<CpuCycle> asleep_since_;
+    /** Queues that rejected the ticking core, as 2 * channel + is_write. */
+    std::vector<std::uint32_t> rejected_;
+    std::uint64_t skipped_core_ticks_ = 0;
+
+    /** Accounts @p thread's skipped cycles and puts it back in the sweep;
+     *  a no-op for an awake core. */
+    void WakeCore(ThreadId thread);
+    /** Wakes every core registered in @p waiters and clears them. */
+    void WakeWaiters(std::vector<std::uint64_t>& waiters);
+    /** Wakes every core, so each Core::stats() is exact at this cycle. */
+    void WakeAllCores();
+
     DramCycle DramNow() const { return cpu_cycle_ / config_.cpu_to_dram_ratio; }
 
     /** Builds a request from the target channel's slab pool. */
@@ -285,6 +310,11 @@ class System : public MemoryPort {
          */
         std::size_t read_size = 0;
         std::size_t write_size = 0;
+
+        /** Sleeping cores each queue rejected, one bit per core; a
+         *  departure from the queue wakes them (ApplyScheduledRetires). */
+        std::vector<std::uint64_t> read_waiters;
+        std::vector<std::uint64_t> write_waiters;
 
         /**
          * The retire schedule for the *next* window: every in-burst
@@ -380,8 +410,9 @@ class System : public MemoryPort {
     void RunParticipant(unsigned participant);
     void AdvanceChannel(std::uint32_t channel);
 
-    /** Ticks every core once, in thread order, and tracks the (monotone)
-     *  done transitions for the O(1) end-of-run probe. */
+    /** Ticks every awake core once, in thread order, puts the ones that
+     *  made no progress to sleep, and tracks the (monotone) done
+     *  transitions for the O(1) end-of-run probe. */
     void TickCores();
 
     /**
@@ -393,11 +424,13 @@ class System : public MemoryPort {
      */
     void PublishNotifications();
 
-    /** Applies scheduled retires with completion <= @p tick to proxies. */
+    /** Applies scheduled retires with completion <= @p tick to proxies,
+     *  waking the cores each departing queue rejected. */
     void ApplyScheduledRetires(DramCycle tick);
 
     /** Re-establishes coordinator state from the real controllers at the
-     *  start of a Run (schedules, proxies, sampler cursors). */
+     *  start of a Run (schedules, proxies, sampler cursors, every core
+     *  awake). */
     void PrepareRun();
 
     /** Folds the window's outputs back into the cycle-order structures:

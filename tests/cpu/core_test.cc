@@ -302,6 +302,198 @@ TEST(Core, DoneOnlyAfterDrain)
     EXPECT_TRUE(core.Done());
 }
 
+/** Every CoreStats field of @p a equals @p b's. */
+void
+ExpectSameStats(const CoreStats& a, const CoreStats& b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.load_stall_cycles, b.load_stall_cycles);
+    EXPECT_EQ(a.store_stall_cycles, b.store_stall_cycles);
+    EXPECT_EQ(a.loads_issued, b.loads_issued);
+    EXPECT_EQ(a.loads_completed, b.loads_completed);
+    EXPECT_EQ(a.stores_issued, b.stores_issued);
+}
+
+TEST(Core, TickReportsProgressExactly)
+{
+    // One load, 20 cycles away: tick 1 fetches it and drains the trace,
+    // tick 2 issues it, ticks 3-21 only stall, tick 22 commits the
+    // returned load, and the done core never makes progress again.
+    MockPort port;
+    port.read_latency = 20;
+    VectorTraceSource trace({Load(0x1000)});
+    Core core(CoreConfig{}, 0, trace, port);
+    std::vector<bool> progress;
+    for (int i = 0; i < 40; ++i) {
+        for (RequestId id : port.Tick()) {
+            core.OnReadComplete(id);
+        }
+        progress.push_back(core.Tick());
+    }
+    std::vector<bool> expected(40, false);
+    expected[0] = expected[1] = expected[21] = true;
+    EXPECT_EQ(progress, expected);
+    EXPECT_TRUE(core.Done());
+    EXPECT_EQ(core.stats().load_stall_cycles, 20u);
+}
+
+TEST(Core, RejectedIssueIsNoProgressUntilThePortReopens)
+{
+    MockPort port;
+    port.accept_reads = false;
+    VectorTraceSource trace({Load(0x40)});
+    Core core(CoreConfig{}, 0, trace, port);
+    EXPECT_TRUE(core.Tick()); // Fetches the load and drains the trace.
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_FALSE(core.Tick());
+    }
+    port.accept_reads = true;
+    EXPECT_TRUE(core.Tick());
+    EXPECT_EQ(core.stats().loads_issued, 1u);
+}
+
+/**
+ * Drives two identical cores into a state where Tick() reports no
+ * progress, then checks that @p n bulk-skipped cycles leave exactly the
+ * stats of @p n more ticks (each of which must also report none).
+ */
+void
+ExpectSkipMatchesTicks(const std::vector<TraceEntry>& entries,
+                       const CoreConfig& config, MockPort port,
+                       std::uint64_t n = 37)
+{
+    MockPort ticked_port = port;
+    MockPort skipped_port = port;
+    VectorTraceSource ticked_trace(entries);
+    VectorTraceSource skipped_trace(entries);
+    Core ticked(config, 0, ticked_trace, ticked_port);
+    Core skipped(config, 0, skipped_trace, skipped_port);
+    bool quiescent = false;
+    for (int i = 0; i < 1000 && !quiescent; ++i) {
+        for (RequestId id : ticked_port.Tick()) {
+            ticked.OnReadComplete(id);
+        }
+        for (RequestId id : skipped_port.Tick()) {
+            skipped.OnReadComplete(id);
+        }
+        quiescent = !ticked.Tick();
+        EXPECT_EQ(skipped.Tick(), !quiescent);
+    }
+    ASSERT_TRUE(quiescent);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        EXPECT_FALSE(ticked.Tick());
+    }
+    skipped.SkipQuiescentCycles(n);
+    ExpectSameStats(ticked.stats(), skipped.stats());
+}
+
+TEST(Core, SkipMatchesTicksBehindAnOutstandingLoad)
+{
+    MockPort port;
+    port.read_latency = 100000;
+    ExpectSkipMatchesTicks({Load(0x1000, 7), Load(0x2000, 3)},
+                           CoreConfig{}, port);
+}
+
+TEST(Core, SkipMatchesTicksBehindARejectedStore)
+{
+    MockPort port;
+    port.accept_writes = false;
+    ExpectSkipMatchesTicks({Store(0x1000, 4), Load(0x2000)}, CoreConfig{},
+                           port);
+}
+
+TEST(Core, SkipMatchesTicksWithMshrsFull)
+{
+    MockPort port;
+    port.read_latency = 100000;
+    std::vector<TraceEntry> entries;
+    for (int i = 0; i < 16; ++i) {
+        entries.push_back(Load(64 * i, 2));
+    }
+    CoreConfig config;
+    config.mshrs = 3;
+    ExpectSkipMatchesTicks(entries, config, port);
+}
+
+TEST(Core, SkipMatchesTicksOnADoneCore)
+{
+    MockPort port;
+    port.read_latency = 5;
+    ExpectSkipMatchesTicks({Load(0x40, 11), Store(0x80, 2)}, CoreConfig{},
+                           port);
+}
+
+TEST(Core, SleepingTwinMatchesTheTickingCore)
+{
+    // A twin that stops ticking after a tick without progress, and
+    // catches up in bulk only when something reaches it (a read return,
+    // or the port reopening), must end exactly where a core ticked on
+    // every cycle ends: same stats, same requests, issued on the same
+    // cycles.
+    std::vector<TraceEntry> entries;
+    for (int i = 0; i < 300; ++i) {
+        TraceEntry e;
+        e.compute_instructions = static_cast<std::uint32_t>((i * 7) % 23);
+        e.addr = 64 * static_cast<Addr>(i);
+        e.is_write = i % 3 == 0;
+        e.depends_on_prev = i % 11 == 10;
+        entries.push_back(e);
+    }
+    MockPort ticked_port;
+    MockPort twin_port;
+    ticked_port.read_latency = twin_port.read_latency = 61;
+    VectorTraceSource ticked_trace(entries);
+    VectorTraceSource twin_trace(entries);
+    CoreConfig config;
+    config.mshrs = 6;
+    Core ticked(config, 0, ticked_trace, ticked_port);
+    Core twin(config, 0, twin_trace, twin_port);
+
+    bool awake = true;
+    CpuCycle asleep_since = 0;
+    std::uint64_t skipped = 0;
+    auto wake = [&](CpuCycle now) {
+        if (!awake) {
+            twin.SkipQuiescentCycles(now - asleep_since);
+            skipped += now - asleep_since;
+            awake = true;
+        }
+    };
+    CpuCycle now = 0;
+    for (; now < 40000 && !ticked.Done(); ++now) {
+        const bool reads = (now / 90) % 4 != 3;
+        const bool writes = (now / 130) % 3 != 2;
+        if ((reads && !twin_port.accept_reads) ||
+            (writes && !twin_port.accept_writes)) {
+            wake(now);
+        }
+        ticked_port.accept_reads = twin_port.accept_reads = reads;
+        ticked_port.accept_writes = twin_port.accept_writes = writes;
+        for (RequestId id : ticked_port.Tick()) {
+            ticked.OnReadComplete(id);
+        }
+        for (RequestId id : twin_port.Tick()) {
+            wake(now);
+            twin.OnReadComplete(id);
+        }
+        ticked.Tick();
+        if (awake && !twin.Tick()) {
+            awake = false;
+            asleep_since = now + 1;
+        }
+    }
+    wake(now);
+    ASSERT_TRUE(ticked.Done());
+    EXPECT_TRUE(twin.Done());
+    ExpectSameStats(ticked.stats(), twin.stats());
+    EXPECT_EQ(ticked_port.reads_seen, twin_port.reads_seen);
+    EXPECT_EQ(ticked_port.writes_seen, twin_port.writes_seen);
+    // The twin really slept.
+    EXPECT_GT(skipped, ticked.stats().cycles / 4);
+}
+
 TEST(Core, UnknownCompletionAborts)
 {
     MockPort port;

@@ -10,6 +10,7 @@
 #include "mem/controller.hh"
 #include "sim/config.hh"
 #include "sim/system.hh"
+#include "trace/trace.hh"
 
 namespace parbs {
 namespace {
@@ -102,6 +103,26 @@ TEST(ErrorPaths, SystemRejectsOutOfRangeAddresses)
                   std::string::npos)
             << error.what();
     }
+}
+
+TEST(ErrorPaths, AddressErrorMidRunLeavesCoreStatsSound)
+{
+    // Core 0 drains its empty trace on cycle 0 and falls asleep on cycle 1,
+    // the cycle core 1 issues an address past capacity.  Run unwinds from
+    // the middle of that sweep and wakes every core on the way out; the
+    // sleeper must keep the two ticks it ran, not lose one to the clock.
+    SystemConfig config = SystemConfig::Baseline(4);
+    const Addr bad = config.geometry.CapacityBytes();
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.push_back(
+        std::make_unique<VectorTraceSource>(std::vector<TraceEntry>{}));
+    traces.push_back(std::make_unique<VectorTraceSource>(
+        std::vector<TraceEntry>{{0, bad, false, false}}));
+    System system(config, std::move(traces));
+    EXPECT_THROW(system.Run(100), ConfigError);
+    EXPECT_EQ(system.now(), 1u);
+    EXPECT_EQ(system.core(0).stats().cycles, 2u);
+    EXPECT_EQ(system.core(1).stats().cycles, 2u);
 }
 
 } // namespace

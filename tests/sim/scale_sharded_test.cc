@@ -149,6 +149,30 @@ TEST(ScaleSharded, AutoChannelJobsSizeToTheMachine)
     EXPECT_EQ(system.channel_jobs(), std::min(8u, HardwareJobs()));
 }
 
+TEST(ScaleSharded, DormantCoresSkipMostCoreTicks)
+{
+    // At 64 cores most core ticks wait on DRAM, and the sweep must skip
+    // them (DESIGN.md §5g, "Dormant cores").  Which ticks it skips follows
+    // from the cores alone, so the counts cannot depend on the team size.
+    constexpr CpuCycle kCycles = 20000;
+    std::vector<std::uint64_t> skipped;
+    for (const unsigned jobs : {1u, 4u, 8u}) {
+        SystemConfig config = SystemConfig::Baseline(64, 8);
+        config.channel_jobs = jobs;
+        System system(config, SyntheticTraces(config, 64));
+        system.Run(kCycles);
+        std::uint64_t cycles = 0;
+        for (ThreadId t = 0; t < system.num_cores(); ++t) {
+            cycles += system.core(t).stats().cycles;
+        }
+        EXPECT_EQ(cycles, 64 * kCycles) << "jobs=" << jobs;
+        EXPECT_GE(2 * system.skipped_core_ticks(), cycles) << "jobs=" << jobs;
+        skipped.push_back(system.skipped_core_ticks());
+    }
+    EXPECT_EQ(skipped[1], skipped[0]);
+    EXPECT_EQ(skipped[2], skipped[0]);
+}
+
 TEST(ScaleSharded, RankScaledBaselineStaysIdenticalAt128Cores)
 {
     // Baseline(128) saturates the channel cap and doubles the ranks; the

@@ -31,13 +31,14 @@ namespace {
 
 std::vector<std::unique_ptr<TraceSource>>
 SyntheticTraces(const SystemConfig& config, std::uint32_t count,
-                double mpki = 20.0)
+                double mpki = 20.0, double write_fraction = 0.15)
 {
     dram::AddressMapper mapper(config.geometry, config.xor_bank_hash);
     std::vector<std::unique_ptr<TraceSource>> traces;
     for (ThreadId t = 0; t < count; ++t) {
         SyntheticParams params;
         params.mpki = mpki;
+        params.write_fraction = write_fraction;
         traces.push_back(std::make_unique<SyntheticTraceSource>(
             params, mapper, t, count, 1000 + t));
     }
@@ -59,9 +60,11 @@ struct Artifacts {
 template <typename SystemT>
 Artifacts
 RunSystem(const SystemConfig& config, std::uint32_t cores,
-          const std::vector<CpuCycle>& chunks)
+          const std::vector<CpuCycle>& chunks, double mpki = 20.0,
+          double write_fraction = 0.15)
 {
-    SystemT system(config, SyntheticTraces(config, cores));
+    SystemT system(config,
+                   SyntheticTraces(config, cores, mpki, write_fraction));
     for (const CpuCycle chunk : chunks) {
         system.Run(chunk);
     }
@@ -79,6 +82,26 @@ RunSystem(const SystemConfig& config, std::uint32_t cores,
         out.trace = trace.str();
     }
     return out;
+}
+
+/** Byte equality that reports only the first differing offset: gtest's
+ *  full diff of two megabyte trace documents takes minutes and gigabytes. */
+::testing::AssertionResult
+SameBytes(const std::string& expected, const std::string& actual)
+{
+    if (expected == actual) {
+        return ::testing::AssertionSuccess();
+    }
+    const auto offset = static_cast<std::size_t>(
+        std::mismatch(expected.begin(), expected.end(), actual.begin(),
+                      actual.end())
+            .first -
+        expected.begin());
+    return ::testing::AssertionFailure()
+           << "documents of " << expected.size() << " and " << actual.size()
+           << " bytes first differ at byte " << offset << ": \""
+           << expected.substr(offset, 80) << "\" vs \""
+           << actual.substr(offset, 80) << "\"";
 }
 
 SystemConfig
@@ -252,6 +275,57 @@ TEST(ShardedSystem, LookaheadWindowMatchesTimingBound)
                             config.timing.tCWD + config.timing.tBURST);
     EXPECT_EQ(system.lookahead_window(), expected);
     EXPECT_GE(system.lookahead_window(), 1u);
+}
+
+TEST(ShardedSystem, BackpressureMatchesTheOracle)
+{
+    // Six-entry queues under 80 MPKI keep both queues of every channel
+    // full, so cores are rejected all the time: each one sleeps on the
+    // queue that rejected it and must wake on the very departure that
+    // frees it a slot (DESIGN.md §5g, "Dormant cores").
+    SchedulerConfig scheduler;
+    scheduler.kind = SchedulerKind::kParBs;
+    auto config = [&](unsigned jobs) {
+        SystemConfig out = TracedConfig(16, scheduler, jobs);
+        out.controller.read_queue_capacity = 6;
+        out.controller.write_queue_capacity = 6;
+        out.controller.write_drain_high = 5;
+        out.controller.write_drain_low = 2;
+        out.observability.sample_interval = 16;
+        return out;
+    };
+    const std::vector<CpuCycle> chunks{12000, 11000};
+    constexpr double kMpki = 80.0;
+    for (const double write_fraction : {0.15, 0.6}) {
+        SCOPED_TRACE("write_fraction=" + std::to_string(write_fraction));
+        const Artifacts reference = RunSystem<ReferenceSystem>(
+            config(1), 16, chunks, kMpki, write_fraction);
+        for (const unsigned jobs : kTeamSizes) {
+            const Artifacts engine = RunSystem<System>(
+                config(jobs), 16, chunks, kMpki, write_fraction);
+            EXPECT_EQ(reference.stop, engine.stop) << "jobs=" << jobs;
+            EXPECT_EQ(reference.stats, engine.stats) << "jobs=" << jobs;
+            EXPECT_TRUE(SameBytes(reference.trace, engine.trace))
+                << "jobs=" << jobs;
+        }
+
+        // The sampler rows prove the test reached its regime.
+        System system(config(1),
+                      SyntheticTraces(config(1), 16, kMpki, write_fraction));
+        system.Run(chunks[0] + chunks[1]);
+        std::uint32_t max_reads = 0;
+        std::uint32_t max_writes = 0;
+        for (const obs::Sample& row :
+             system.observability()->sampler().samples()) {
+            for (const obs::ControllerSample& channel : row.controllers) {
+                max_reads = std::max(max_reads, channel.read_queue);
+                max_writes = std::max(max_writes, channel.write_queue);
+            }
+        }
+        EXPECT_EQ(max_reads, 6u);
+        EXPECT_EQ(max_writes, 6u);
+        EXPECT_GT(system.skipped_core_ticks(), 0u);
+    }
 }
 
 /** 16 cores with 40-entry traces, run until every trace drains; returns

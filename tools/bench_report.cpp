@@ -106,6 +106,28 @@ LoadJson(const fs::path& path, Value& out)
     return true;
 }
 
+/** LoadJson, then rejects any document that is not one bench binary's
+ *  result: an object with "env" and "run" objects. */
+bool
+LoadBenchResult(const fs::path& path, Value& out)
+{
+    if (!LoadJson(path, out)) {
+        return false;
+    }
+    const auto is_object = [](const Value* value) {
+        return value != nullptr && value->kind() == Value::Kind::kObject;
+    };
+    if (!is_object(&out) || !is_object(out.Find("env")) ||
+        !is_object(out.Find("run"))) {
+        std::fprintf(stderr,
+                     "bench_report: %s: not a bench result (expected an "
+                     "object with \"env\" and \"run\" objects)\n",
+                     path.string().c_str());
+        return false;
+    }
+    return true;
+}
+
 double
 WallSeconds(const Value& root)
 {
@@ -1114,7 +1136,7 @@ main(int argc, char** argv)
     double total_wall = 0.0;
     for (const fs::path& path : files) {
         Value root;
-        if (!LoadJson(path, root)) {
+        if (!LoadBenchResult(path, root)) {
             return 2;
         }
         total_wall += WallSeconds(root);
@@ -1191,7 +1213,7 @@ main(int argc, char** argv)
         const std::string name = golden_path.filename().string();
         const fs::path result_path = fs::path(dir) / name;
         Value golden;
-        if (!LoadJson(golden_path, golden)) {
+        if (!LoadBenchResult(golden_path, golden)) {
             return 2;
         }
         if (!fs::is_regular_file(result_path)) {
@@ -1201,7 +1223,7 @@ main(int argc, char** argv)
             continue;
         }
         Value result;
-        if (!LoadJson(result_path, result)) {
+        if (!LoadBenchResult(result_path, result)) {
             return 2;
         }
         all_ok &= CheckAgainstGolden(name, result, golden, wall_tolerance);
