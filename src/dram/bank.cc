@@ -10,60 +10,6 @@ Bank::Bank(const TimingParams& timing) : timing_(timing)
 {
 }
 
-RowBufferState
-Bank::Classify(std::uint32_t row) const
-{
-    if (open_row_ == row) {
-        return RowBufferState::kHit;
-    }
-    if (open_row_ == kNoRow) {
-        return RowBufferState::kClosed;
-    }
-    return RowBufferState::kConflict;
-}
-
-CommandType
-Bank::NextCommandFor(std::uint32_t row, bool is_write) const
-{
-    switch (Classify(row)) {
-      case RowBufferState::kHit:
-        return is_write ? CommandType::kWrite : CommandType::kRead;
-      case RowBufferState::kClosed:
-        return CommandType::kActivate;
-      case RowBufferState::kConflict:
-        return CommandType::kPrecharge;
-    }
-    PARBS_ASSERT(false, "unreachable row-buffer state");
-    return CommandType::kActivate;
-}
-
-bool
-Bank::CanIssue(CommandType type, DramCycle now) const
-{
-    return now >= EarliestIssue(type);
-}
-
-DramCycle
-Bank::EarliestIssue(CommandType type) const
-{
-    switch (type) {
-      case CommandType::kActivate:
-        return next_activate_;
-      case CommandType::kPrecharge:
-        return next_precharge_;
-      case CommandType::kRead:
-        return next_read_;
-      case CommandType::kWrite:
-        return next_write_;
-      case CommandType::kRefresh:
-        // Refresh legality (all banks precharged) is a rank-level decision;
-        // at bank level it behaves like an activate.
-        return next_activate_;
-    }
-    PARBS_ASSERT(false, "unreachable command type");
-    return 0;
-}
-
 void
 Bank::Issue(const Command& cmd, DramCycle now)
 {

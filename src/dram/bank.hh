@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/assert.hh"
 #include "common/types.hh"
 #include "dram/command.hh"
 #include "dram/timing.hh"
@@ -36,25 +37,71 @@ class Bank {
      * Classifies an access to @p row against the current row-buffer state
      * (hit / closed / conflict), as defined in Section 3 of the paper.
      */
-    RowBufferState Classify(std::uint32_t row) const;
+    RowBufferState
+    Classify(std::uint32_t row) const
+    {
+        if (open_row_ == row) {
+            return RowBufferState::kHit;
+        }
+        if (open_row_ == kNoRow) {
+            return RowBufferState::kClosed;
+        }
+        return RowBufferState::kConflict;
+    }
 
     /**
      * The next command an access to @p row needs: a column command on a hit,
      * kActivate when closed, kPrecharge on a conflict.
      */
-    CommandType NextCommandFor(std::uint32_t row, bool is_write) const;
+    CommandType
+    NextCommandFor(std::uint32_t row, bool is_write) const
+    {
+        switch (Classify(row)) {
+          case RowBufferState::kHit:
+            return is_write ? CommandType::kWrite : CommandType::kRead;
+          case RowBufferState::kClosed:
+            return CommandType::kActivate;
+          case RowBufferState::kConflict:
+            return CommandType::kPrecharge;
+        }
+        PARBS_ASSERT(false, "unreachable row-buffer state");
+        return CommandType::kActivate;
+    }
 
     /**
      * @return true if @p type may issue to this bank at cycle @p now as far
      *         as *bank-local* constraints are concerned.
      */
-    bool CanIssue(CommandType type, DramCycle now) const;
+    bool
+    CanIssue(CommandType type, DramCycle now) const
+    {
+        return now >= EarliestIssue(type);
+    }
 
     /**
      * Earliest cycle at which @p type may issue (bank-local constraints
      * only); used by schedulers that reason about readiness windows.
      */
-    DramCycle EarliestIssue(CommandType type) const;
+    DramCycle
+    EarliestIssue(CommandType type) const
+    {
+        switch (type) {
+          case CommandType::kActivate:
+            return next_activate_;
+          case CommandType::kPrecharge:
+            return next_precharge_;
+          case CommandType::kRead:
+            return next_read_;
+          case CommandType::kWrite:
+            return next_write_;
+          case CommandType::kRefresh:
+            // Refresh legality (all banks precharged) is a rank-level
+            // decision; at bank level it behaves like an activate.
+            return next_activate_;
+        }
+        PARBS_ASSERT(false, "unreachable command type");
+        return 0;
+    }
 
     /**
      * Applies a command issued at cycle @p now.

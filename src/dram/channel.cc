@@ -23,51 +23,6 @@ Channel::num_ranks() const
     return static_cast<std::uint32_t>(ranks_.size());
 }
 
-Rank&
-Channel::rank(std::uint32_t index)
-{
-    PARBS_ASSERT(index < ranks_.size(), "rank index out of range");
-    return ranks_[index];
-}
-
-const Rank&
-Channel::rank(std::uint32_t index) const
-{
-    PARBS_ASSERT(index < ranks_.size(), "rank index out of range");
-    return ranks_[index];
-}
-
-Bank&
-Channel::bank(std::uint32_t rank_index, std::uint32_t bank_index)
-{
-    return rank(rank_index).bank(bank_index);
-}
-
-const Bank&
-Channel::bank(std::uint32_t rank_index, std::uint32_t bank_index) const
-{
-    return rank(rank_index).bank(bank_index);
-}
-
-bool
-Channel::CanIssue(const Command& cmd, DramCycle now) const
-{
-    PARBS_ASSERT(cmd.rank < ranks_.size(), "command rank out of range");
-    if (cmd.type == CommandType::kRead || cmd.type == CommandType::kWrite) {
-        // The data burst [start, start + tBURST) must begin after the
-        // current bus occupant finishes.  Because tCWD < tCL on DDR2, this
-        // start-after-free rule is slightly conservative for a write
-        // following a read, which matches real controllers' bus turnaround.
-        const DramCycle latency = (cmd.type == CommandType::kRead)
-                                      ? timing_.tCL
-                                      : timing_.tCWD;
-        if (now + latency < bus_free_at_) {
-            return false;
-        }
-    }
-    return ranks_[cmd.rank].CanIssue(cmd, now);
-}
-
 DramCycle
 Channel::EarliestIssue(const Command& cmd) const
 {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/assert.hh"
 #include "common/types.hh"
 #include "dram/command.hh"
 #include "dram/protocol_checker.hh"
@@ -32,12 +33,32 @@ class Channel {
 
     std::uint32_t num_ranks() const;
 
-    Rank& rank(std::uint32_t index);
-    const Rank& rank(std::uint32_t index) const;
+    Rank&
+    rank(std::uint32_t index)
+    {
+        PARBS_ASSERT(index < ranks_.size(), "rank index out of range");
+        return ranks_[index];
+    }
+
+    const Rank&
+    rank(std::uint32_t index) const
+    {
+        PARBS_ASSERT(index < ranks_.size(), "rank index out of range");
+        return ranks_[index];
+    }
 
     /** Convenience accessor across the rank boundary. */
-    Bank& bank(std::uint32_t rank_index, std::uint32_t bank_index);
-    const Bank& bank(std::uint32_t rank_index, std::uint32_t bank_index) const;
+    Bank&
+    bank(std::uint32_t rank_index, std::uint32_t bank_index)
+    {
+        return rank(rank_index).bank(bank_index);
+    }
+
+    const Bank&
+    bank(std::uint32_t rank_index, std::uint32_t bank_index) const
+    {
+        return rank(rank_index).bank(bank_index);
+    }
 
     /**
      * @return true if @p cmd satisfies every device and bus constraint at
@@ -45,7 +66,26 @@ class Channel {
      *         (command-bus availability is enforced by the controller, which
      *         issues at most one command per cycle).
      */
-    bool CanIssue(const Command& cmd, DramCycle now) const;
+    bool
+    CanIssue(const Command& cmd, DramCycle now) const
+    {
+        PARBS_ASSERT(cmd.rank < ranks_.size(), "command rank out of range");
+        if (cmd.type == CommandType::kRead ||
+            cmd.type == CommandType::kWrite) {
+            // The data burst [start, start + tBURST) must begin after the
+            // current bus occupant finishes.  Because tCWD < tCL on DDR2,
+            // this start-after-free rule is slightly conservative for a
+            // write following a read, which matches real controllers' bus
+            // turnaround.
+            const DramCycle latency = (cmd.type == CommandType::kRead)
+                                          ? timing_.tCL
+                                          : timing_.tCWD;
+            if (now + latency < bus_free_at_) {
+                return false;
+            }
+        }
+        return ranks_[cmd.rank].CanIssue(cmd, now);
+    }
 
     /**
      * Earliest cycle @p cmd passes every device and bus constraint,

@@ -18,56 +18,6 @@ Rank::Rank(const TimingParams& timing, std::uint32_t num_banks)
     activate_history_.fill(kNeverCycle);
 }
 
-std::uint32_t
-Rank::num_banks() const
-{
-    return static_cast<std::uint32_t>(banks_.size());
-}
-
-Bank&
-Rank::bank(std::uint32_t index)
-{
-    PARBS_ASSERT(index < banks_.size(), "bank index out of range");
-    return banks_[index];
-}
-
-const Bank&
-Rank::bank(std::uint32_t index) const
-{
-    PARBS_ASSERT(index < banks_.size(), "bank index out of range");
-    return banks_[index];
-}
-
-bool
-Rank::CanIssue(const Command& cmd, DramCycle now) const
-{
-    switch (cmd.type) {
-      case CommandType::kActivate: {
-        if (now < next_activate_) {
-            return false;
-        }
-        // tFAW: at most four ACTIVATEs in any tFAW window.  The oldest entry
-        // in the 4-deep history must be at least tFAW in the past.
-        const DramCycle oldest = activate_history_[activate_history_head_];
-        if (oldest != kNeverCycle && now < oldest + timing_.tFAW) {
-            return false;
-        }
-        break;
-      }
-      case CommandType::kRead:
-        if (now < next_read_) {
-            return false;
-        }
-        break;
-      case CommandType::kWrite:
-      case CommandType::kPrecharge:
-        break;
-      case CommandType::kRefresh:
-        return CanRefresh(now);
-    }
-    return banks_[cmd.bank].CanIssue(cmd.type, now);
-}
-
 DramCycle
 Rank::EarliestIssue(const Command& cmd) const
 {

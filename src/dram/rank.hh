@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.hh"
 #include "common/types.hh"
 #include "dram/bank.hh"
 #include "dram/command.hh"
@@ -24,16 +25,60 @@ class Rank {
     Rank(const TimingParams& timing, std::uint32_t num_banks);
 
     /** @return the number of banks in this rank. */
-    std::uint32_t num_banks() const;
+    std::uint32_t
+    num_banks() const
+    {
+        return static_cast<std::uint32_t>(banks_.size());
+    }
 
-    Bank& bank(std::uint32_t index);
-    const Bank& bank(std::uint32_t index) const;
+    Bank&
+    bank(std::uint32_t index)
+    {
+        PARBS_ASSERT(index < banks_.size(), "bank index out of range");
+        return banks_[index];
+    }
+
+    const Bank&
+    bank(std::uint32_t index) const
+    {
+        PARBS_ASSERT(index < banks_.size(), "bank index out of range");
+        return banks_[index];
+    }
 
     /**
      * @return true if @p cmd may issue at @p now considering both rank-level
      *         and bank-level constraints (data-bus checks are the channel's).
      */
-    bool CanIssue(const Command& cmd, DramCycle now) const;
+    bool
+    CanIssue(const Command& cmd, DramCycle now) const
+    {
+        switch (cmd.type) {
+          case CommandType::kActivate: {
+            if (now < next_activate_) {
+                return false;
+            }
+            // tFAW: at most four ACTIVATEs in any tFAW window.  The oldest
+            // entry in the 4-deep history must be at least tFAW in the past.
+            const DramCycle oldest =
+                activate_history_[activate_history_head_];
+            if (oldest != kNeverCycle && now < oldest + timing_.tFAW) {
+                return false;
+            }
+            break;
+          }
+          case CommandType::kRead:
+            if (now < next_read_) {
+                return false;
+            }
+            break;
+          case CommandType::kWrite:
+          case CommandType::kPrecharge:
+            break;
+          case CommandType::kRefresh:
+            return CanRefresh(now);
+        }
+        return banks_[cmd.bank].CanIssue(cmd.type, now);
+    }
 
     /**
      * Earliest cycle @p cmd passes the rank- and bank-level constraints,

@@ -1,6 +1,7 @@
 #include "mem/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/assert.hh"
@@ -41,7 +42,8 @@ Controller::Controller(const ControllerConfig& config,
       in_service_(static_cast<std::size_t>(num_threads) *
                       geometry.ranks_per_channel * geometry.banks_per_rank,
                   0),
-      busy_banks_(num_threads, 0)
+      busy_banks_(num_threads, 0),
+      busy_threads_((num_threads + 63) / 64, 0)
 {
     PARBS_ASSERT(scheduler_ != nullptr, "controller needs a scheduler");
     config_.Validate();
@@ -417,22 +419,21 @@ Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
     const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();
 
     finalists_.clear();
-    for (std::uint32_t bank = 0; bank < queue.num_banks(); ++bank) {
-        if (queue.QueuedInBank(bank) == 0) {
-            continue;
-        }
+    // Ascending flat-bank order over the occupied banks only: the order
+    // the finalists have always had, so Pick() sees the same list.
+    queue.ForEachQueuedBank([&](std::uint32_t bank) {
         const std::uint32_t rank = bank / banks_per_rank;
         const std::uint32_t bank_in_rank = bank % banks_per_rank;
         // A rank with an overdue refresh accepts no new commands until the
         // refresh has been performed (starvation-free refresh guarantee).
         if (refresh_active && channel_.rank(rank).RefreshDue(now)) {
-            continue;
+            return;
         }
         // A bank under a retry-backoff hold issues nothing until it
         // expires (the hold only delays, so the skip-ahead bound — which
         // ignores holds — stays a conservative lower bound).
         if (ras_ != nullptr && ras_->BankHoldUntil(bank) > now) {
-            continue;
+            return;
         }
         const dram::Bank& state = channel_.bank(rank, bank_in_rank);
         // Skipping a timing-blocked bank cannot change the outcome: the
@@ -442,11 +443,11 @@ Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
         const BankIssueOptions options =
             BankCouldIssue(state, rank, bank_in_rank, is_write_queue, now);
         if (!options.Any()) {
-            continue;
+            return;
         }
         MemRequest* winner = scheduler_->PickInBank(queue, bank, now);
         if (winner == nullptr) {
-            continue;
+            return;
         }
         Candidate candidate;
         candidate.request = winner;
@@ -458,7 +459,7 @@ Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
         if (options.Allows(candidate.next_command)) {
             finalists_.push_back(candidate);
         }
-    }
+    });
     if (finalists_.empty()) {
         return nullptr;
     }
@@ -765,28 +766,24 @@ Controller::RecordCommand(dram::CommandType type, DramCycle now,
 DramCycle
 Controller::NextReadyBound(DramCycle now) const
 {
-    // One walk over the per-bank chains: the chains hold exactly the
-    // queued requests, so the bound equals a full-buffer scan's, while
+    // One walk over the occupied banks' chains: the chains hold exactly
+    // the queued requests, so the bound equals a full-buffer scan's, while
     // empty banks and in-burst requests cost nothing.
     const bool refresh_active =
         config_.enable_refresh && channel_.timing().tREFI != 0;
     const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();
     DramCycle bound = kNeverCycle;
     for (const RequestQueue* queue : {&read_queue_, &write_queue_}) {
-        for (std::uint32_t bank = 0; bank < queue->num_banks(); ++bank) {
-            if (queue->QueuedInBank(bank) == 0) {
-                continue;
-            }
+        queue->ForEachQueuedBank([&](std::uint32_t bank) {
             const std::uint32_t rank = bank / banks_per_rank;
             // A rank with an overdue refresh accepts no new commands until
             // the refresh issues — and issuing it resets the cache, so the
             // bank contributes nothing to the bound until then.
             if (refresh_active && channel_.rank(rank).RefreshDue(now)) {
-                continue;
+                return;
             }
-            const dram::Bank& state =
-                channel_.bank(rank, bank % banks_per_rank);
             const std::uint32_t bank_in_rank = bank % banks_per_rank;
+            const dram::Bank& state = channel_.bank(rank, bank_in_rank);
             // EarliestIssue depends only on the command *type* (the bank,
             // rank and bus timers are row-independent), so the per-request
             // minimum within one bank collapses to at most two probes: a
@@ -795,13 +792,13 @@ Controller::NextReadyBound(DramCycle now) const
             // row and kPrecharge iff any request misses it.  The chain
             // walk is plain row compares with an early exit — no channel
             // probes — so the bound stays bit-exact with the old
-            // per-request scan at O(banks) probes total.
+            // per-request scan at O(occupied banks) probes total.
             if (!state.IsOpen()) {
                 bound = std::min(
                     bound, channel_.EarliestIssue(
                                {dram::CommandType::kActivate, rank,
                                 bank_in_rank, 0}));
-                continue;
+                return;
             }
             bool any_hit = false;
             bool any_miss = false;
@@ -829,7 +826,7 @@ Controller::NextReadyBound(DramCycle now) const
                                {dram::CommandType::kPrecharge, rank,
                                 bank_in_rank, 0}));
             }
-        }
+        });
     }
     return bound;
 }
@@ -848,7 +845,10 @@ Controller::EnterService(const MemRequest& request)
         static_cast<std::size_t>(request.thread) * read_queue_.num_banks() +
         FlatBank(request);
     if (in_service_[index]++ == 0) {
-        busy_banks_[request.thread] += 1;
+        if (busy_banks_[request.thread]++ == 0) {
+            busy_threads_[request.thread / 64] |=
+                std::uint64_t{1} << (request.thread % 64);
+        }
     }
 }
 
@@ -862,15 +862,22 @@ Controller::LeaveService(const MemRequest& request)
     if (--in_service_[index] == 0) {
         PARBS_ASSERT(busy_banks_[request.thread] > 0,
                      "busy-bank underflow");
-        busy_banks_[request.thread] -= 1;
+        if (--busy_banks_[request.thread] == 0) {
+            busy_threads_[request.thread / 64] &=
+                ~(std::uint64_t{1} << (request.thread % 64));
+        }
     }
 }
 
 void
 Controller::SampleBlp()
 {
-    for (std::uint32_t thread = 0; thread < num_threads_; ++thread) {
-        if (busy_banks_[thread] > 0) {
+    // Only threads with a read in service accrue BLP, so the walk visits
+    // exactly the busy-thread bits.
+    for (std::size_t word = 0; word < busy_threads_.size(); ++word) {
+        for (std::uint64_t pending = busy_threads_[word]; pending != 0;
+             pending &= pending - 1) {
+            const std::size_t thread = word * 64 + std::countr_zero(pending);
             stats_[thread].blp_sum += busy_banks_[thread];
             stats_[thread].blp_cycles += 1;
         }

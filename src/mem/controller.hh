@@ -290,6 +290,8 @@ class Controller {
     std::vector<std::uint32_t> in_service_;
     /** Number of banks with >= 1 in-service request, per thread. */
     std::vector<std::uint32_t> busy_banks_;
+    /** Bit t of word t / 64 is set iff busy_banks_[t] > 0. */
+    std::vector<std::uint64_t> busy_threads_;
 
     /** Finalist scratch buffer reused across cycles. */
     std::vector<Candidate> finalists_;
@@ -356,10 +358,10 @@ class Controller {
      * capture a bank under FR-FCFS and lets PAR-BS's marked requests own
      * their banks.
      *
-     * Indexed (DESIGN.md §5e): walks the queue's per-bank chains, skips
+     * Indexed (DESIGN.md §5e): walks the queue's occupied banks, skips
      * refresh-blocked, held and timing-blocked banks (BankCouldIssue), and
      * asks the scheduler for each remaining bank's memoized winner —
-     * O(banks + queued-in-contending-banks) per cycle instead of
+     * O(occupied banks + queued-in-contending-banks) per cycle instead of
      * O(buffered requests).
      * @return the chosen request, or nullptr if nothing can issue.
      */
@@ -444,9 +446,9 @@ class Controller {
      * pass every timing check, assuming no arrivals and no issues in the
      * interim (either event resets the cache).  kNeverCycle if no queued
      * candidates exist (or all sit behind an overdue refresh, which must
-     * issue — and therefore invalidate — first).  Walks the per-bank
-     * chains, so empty banks cost nothing and in-burst requests are never
-     * visited.  A bound that is too late skips a cycle that had a ready
+     * issue — and therefore invalidate — first).  Walks the occupied
+     * banks' chains, so empty banks cost one bit and in-burst requests are
+     * never visited.  A bound that is too late skips a cycle that had a ready
      * pick; the scan oracle in tests/oracle/ fails on exactly that.
      */
     DramCycle NextReadyBound(DramCycle now) const;

@@ -18,6 +18,7 @@ RequestQueue::RequestQueue(std::size_t capacity, std::uint32_t num_threads,
       chain_head_(num_banks_, nullptr),
       chain_tail_(num_banks_, nullptr),
       queued_in_bank_(num_banks_, 0),
+      queued_banks_((num_banks_ + 63) / 64, 0),
       bank_gen_(num_banks_, 1)
 {
     PARBS_ASSERT(num_threads > 0, "request queue needs at least one thread");
@@ -75,27 +76,6 @@ RequestQueue::BeginService(MemRequest& request)
     Unlink(request);
 }
 
-RequestQueue::BankChain
-RequestQueue::BankQueued(std::uint32_t bank) const
-{
-    PARBS_ASSERT(bank < num_banks_, "bank index out of range");
-    return BankChain(chain_head_[bank]);
-}
-
-std::uint32_t
-RequestQueue::QueuedInBank(std::uint32_t bank) const
-{
-    PARBS_ASSERT(bank < num_banks_, "bank index out of range");
-    return queued_in_bank_[bank];
-}
-
-std::uint64_t
-RequestQueue::BankGeneration(std::uint32_t bank) const
-{
-    PARBS_ASSERT(bank < num_banks_, "bank index out of range");
-    return bank_gen_[bank];
-}
-
 void
 RequestQueue::CheckIndex() const
 {
@@ -121,6 +101,14 @@ RequestQueue::CheckIndex() const
                  "per-thread counters diverged from buffer contents");
     PARBS_ASSERT(queued == queued_in_bank_,
                  "per-bank queued counts diverged from buffer contents");
+    std::vector<std::uint64_t> occupied(queued_banks_.size(), 0);
+    for (std::uint32_t bank = 0; bank < num_banks_; ++bank) {
+        if (queued[bank] > 0) {
+            occupied[bank / 64] |= std::uint64_t{1} << (bank % 64);
+        }
+    }
+    PARBS_ASSERT(occupied == queued_banks_,
+                 "occupied-bank bits diverged from queued counts");
 
     for (std::uint32_t bank = 0; bank < num_banks_; ++bank) {
         // The chain must hold exactly the queued requests of this bank, in
@@ -187,7 +175,9 @@ RequestQueue::Link(MemRequest& request)
     }
     chain_tail_[bank] = &request;
     request.bank_linked = true;
-    queued_in_bank_[bank] += 1;
+    if (queued_in_bank_[bank]++ == 0) {
+        queued_banks_[bank / 64] |= std::uint64_t{1} << (bank % 64);
+    }
     bank_gen_[bank] += 1;
 }
 
@@ -209,7 +199,9 @@ RequestQueue::Unlink(MemRequest& request)
     request.bank_next = nullptr;
     request.bank_linked = false;
     PARBS_ASSERT(queued_in_bank_[bank] > 0, "queued-in-bank underflow");
-    queued_in_bank_[bank] -= 1;
+    if (--queued_in_bank_[bank] == 0) {
+        queued_banks_[bank / 64] &= ~(std::uint64_t{1} << (bank % 64));
+    }
     bank_gen_[bank] += 1;
 }
 

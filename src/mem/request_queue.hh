@@ -7,19 +7,22 @@
  * Beyond the flat arrival-ordered view, the buffer maintains a per-bank
  * *index*: an intrusive, arrival-ordered chain of the queued (schedulable)
  * requests of every (rank, bank), plus per-bank occupancy counters and
- * modification generations.  The controller's per-cycle candidate
- * gathering and the schedulers' memoized per-bank picks (DESIGN.md §5e)
- * are built on this index, making selection cost proportional to the bank
- * count rather than buffer occupancy.
+ * modification generations, and a bitmask of the banks that hold queued
+ * requests.  The controller's per-cycle candidate gathering and the
+ * schedulers' memoized per-bank picks (DESIGN.md §5e) are built on this
+ * index, making selection cost proportional to the occupied banks rather
+ * than buffer occupancy or bank count.
  */
 
 #ifndef PARBS_MEM_REQUEST_QUEUE_HH
 #define PARBS_MEM_REQUEST_QUEUE_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/assert.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 #include "mem/request_pool.hh"
@@ -114,22 +117,56 @@ class RequestQueue {
     // --- Per-bank index --------------------------------------------------
 
     /** Queued (schedulable) requests of @p bank, in arrival order. */
-    BankChain BankQueued(std::uint32_t bank) const;
+    BankChain
+    BankQueued(std::uint32_t bank) const
+    {
+        PARBS_ASSERT(bank < num_banks_, "bank index out of range");
+        return BankChain(chain_head_[bank]);
+    }
 
     /** Number of queued requests in controller-local flat @p bank. */
-    std::uint32_t QueuedInBank(std::uint32_t bank) const;
+    std::uint32_t
+    QueuedInBank(std::uint32_t bank) const
+    {
+        PARBS_ASSERT(bank < num_banks_, "bank index out of range");
+        return queued_in_bank_[bank];
+    }
 
     /**
      * Monotonic modification generation of @p bank's chain: bumped on
      * every link/unlink.  Schedulers key memoized per-bank picks on it
      * (see ComparatorScheduler::PickInBank).
      */
-    std::uint64_t BankGeneration(std::uint32_t bank) const;
+    std::uint64_t
+    BankGeneration(std::uint32_t bank) const
+    {
+        PARBS_ASSERT(bank < num_banks_, "bank index out of range");
+        return bank_gen_[bank];
+    }
 
     /**
-     * Cross-checks the per-bank index, chains, and occupancy counters
-     * against a from-scratch rebuild of the buffer contents; aborts on any
-     * divergence.  O(size x banks) — validation/test hook only.
+     * Calls @p visit(bank) for every bank with queued requests, in
+     * ascending flat-bank order: O(banks / 64 + occupied banks), so empty
+     * banks cost one bit each.  @p visit must not link or unlink requests.
+     */
+    template <typename Visit>
+    void
+    ForEachQueuedBank(Visit&& visit) const
+    {
+        for (std::size_t word = 0; word < queued_banks_.size(); ++word) {
+            for (std::uint64_t pending = queued_banks_[word]; pending != 0;
+                 pending &= pending - 1) {
+                visit(static_cast<std::uint32_t>(
+                    word * 64 + std::countr_zero(pending)));
+            }
+        }
+    }
+
+    /**
+     * Cross-checks the per-bank index, chains, occupancy counters and
+     * occupied-bank bits against a from-scratch rebuild of the buffer
+     * contents; aborts on any divergence.  O(size x banks) —
+     * validation/test hook only.
      */
     void CheckIndex() const;
 
@@ -165,6 +202,8 @@ class RequestQueue {
     std::vector<MemRequest*> chain_tail_;
     /** Per-bank queued (schedulable) request counts. */
     std::vector<std::uint32_t> queued_in_bank_;
+    /** Bit b of word b / 64 is set iff queued_in_bank_[b] > 0. */
+    std::vector<std::uint64_t> queued_banks_;
     /** Per-bank chain modification generations (start at 1; 0 is never a
      *  valid generation, so zero-initialized memo slots read as stale). */
     std::vector<std::uint64_t> bank_gen_;

@@ -166,13 +166,28 @@ ParBsScheduler::FormBatch(DramCycle now)
         }
     }
 
+    // The pass below starts from a cleared table, so it marks something
+    // iff some queued, unmarked read belongs to a markable thread.  When
+    // none does, return before clearing anything: with no batch open,
+    // nothing reads the table or markable_now_ before the next formed
+    // batch refills them.
+    const auto& requests = context_.read_queue->requests();
+    if (std::none_of(requests.begin(), requests.end(),
+                     [this](const MemRequest* request) {
+                         return request->state == RequestState::kQueued &&
+                                !request->marked &&
+                                ThreadMarkable(request->thread);
+                     })) {
+        return 0;
+    }
+
     std::fill(marked_in_batch_.begin(), marked_in_batch_.end(), 0);
     for (ThreadId thread = 0; thread < context_.num_threads; ++thread) {
         markable_now_[thread] = ThreadMarkable(thread) ? 1 : 0;
     }
 
     std::uint64_t marked = 0;
-    for (MemRequest* request : context_.read_queue->requests()) {
+    for (MemRequest* request : requests) {
         if (request->state != RequestState::kQueued || request->marked) {
             continue;
         }
@@ -194,10 +209,7 @@ ParBsScheduler::FormBatch(DramCycle now)
         marked += 1;
     }
 
-    if (marked == 0) {
-        return 0; // Nothing to batch; do not consume a batch slot.
-    }
-
+    PARBS_ASSERT(marked > 0, "a batch with an eligible read marked none");
     marked_outstanding_ = marked;
     batch_stats_.batches_formed += 1;
     batch_stats_.marked_total += marked;
@@ -220,7 +232,6 @@ void
 ParBsScheduler::ComputeRanking()
 {
     const std::uint32_t num_threads = context_.num_threads;
-    const std::uint32_t num_banks = context_.NumBanks();
 
     struct Load {
         ThreadId thread;
@@ -228,30 +239,39 @@ ParBsScheduler::ComputeRanking()
         std::uint32_t total_load = 0;
         std::uint64_t tiebreak = 0;
     };
-    std::vector<Load> loads;
-    loads.reserve(num_threads);
+    // One tiebreak per thread, in thread order, whatever the batch holds:
+    // the RNG stream depends only on the number of batches formed.
+    std::vector<Load> loads(num_threads);
     for (ThreadId thread = 0; thread < num_threads; ++thread) {
-        Load load;
-        load.thread = thread;
-        for (std::uint32_t bank = 0; bank < num_banks; ++bank) {
-            const std::uint32_t count =
-                marked_in_batch_[static_cast<std::size_t>(thread) *
-                                     num_banks +
-                                 bank];
-            load.total_load += count;
-            load.max_bank_load = std::max(load.max_bank_load, count);
-        }
-        load.tiebreak = rng_.Next64();
-        loads.push_back(load);
+        loads[thread].thread = thread;
+        loads[thread].tiebreak = rng_.Next64();
     }
 
-    // Threads with no marked requests always get the worst rank.
-    auto key_less = [this](const Load& a, const Load& b) {
-        const bool a_empty = a.total_load == 0;
-        const bool b_empty = b.total_load == 0;
-        if (a_empty != b_empty) {
-            return b_empty;
+    if (config_.ranking == RankingPolicy::kRoundRobin) {
+        // Rotate the rank order by one position each batch.
+        const std::uint64_t shift = batch_stats_.batches_formed;
+        for (ThreadId thread = 0; thread < num_threads; ++thread) {
+            rank_of_[thread] = static_cast<std::uint32_t>(
+                (thread + shift) % num_threads);
         }
+        return;
+    }
+
+    // Every marked request is in the read queue, and marked_in_batch_
+    // counts each (thread, bank)'s marked requests, so one pass over the
+    // queue yields every thread's total and max-bank load.
+    for (MemRequest* request : context_.read_queue->requests()) {
+        if (!request->marked) {
+            continue;
+        }
+        Load& load = loads[request->thread];
+        load.total_load += 1;
+        load.max_bank_load =
+            std::max(load.max_bank_load,
+                     MarkedInBatch(request->thread, FlatBank(*request)));
+    }
+
+    auto key_less = [this](const Load& a, const Load& b) {
         switch (config_.ranking) {
           case RankingPolicy::kMaxTotal:
             if (a.max_bank_load != b.max_bank_load) {
@@ -278,20 +298,16 @@ ParBsScheduler::ComputeRanking()
         return a.tiebreak < b.tiebreak;
     };
 
-    if (config_.ranking == RankingPolicy::kRoundRobin) {
-        // Rotate the rank order by one position each batch.
-        const std::uint64_t shift = batch_stats_.batches_formed;
-        for (ThreadId thread = 0; thread < num_threads; ++thread) {
-            rank_of_[thread] = static_cast<std::uint32_t>(
-                (thread + shift) % num_threads);
-        }
-        return;
-    }
-
-    std::sort(loads.begin(), loads.end(), key_less);
-    for (std::uint32_t position = 0; position < loads.size(); ++position) {
-        rank_of_[loads[position].thread] =
-            loads[position].total_load == 0 ? num_threads : position;
+    // Only threads with marked requests are ranked; the rest always get
+    // the worst rank.
+    const auto ranked_end =
+        std::partition(loads.begin(), loads.end(),
+                       [](const Load& load) { return load.total_load > 0; });
+    std::sort(loads.begin(), ranked_end, key_less);
+    std::fill(rank_of_.begin(), rank_of_.end(), num_threads);
+    for (auto it = loads.begin(); it != ranked_end; ++it) {
+        rank_of_[it->thread] =
+            static_cast<std::uint32_t>(it - loads.begin());
     }
 }
 

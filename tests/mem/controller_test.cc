@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/assert.hh"
 #include "sched/frfcfs.hh"
 #include "sched/fcfs.hh"
@@ -109,6 +112,84 @@ TEST(Controller, SerialRequestsHaveBlpNearOne)
     h.Enqueue(0, 0, 1, 2);
     h.RunUntilIdle();
     EXPECT_LE(h.controller().thread_stats(0).AverageBlp(), 1.01);
+}
+
+TEST(Controller, BlpSamplesEveryBusyThreadAcrossThreadWords)
+{
+    // 80 threads, so thread ids span two 64-bit words, with reads in
+    // service on both sides of thread 64; some threads hold several banks
+    // at once, and a second wave makes threads leave service and re-enter.
+    constexpr std::uint32_t kThreads = 80;
+    ControllerHarness h(std::make_unique<FrFcfsScheduler>(), kThreads);
+    struct Service {
+        ThreadId thread;
+        std::uint32_t bank;
+        DramCycle begin;
+        DramCycle end;
+    };
+    std::vector<Service> services;
+    h.controller().SetReadCompleteCallback(
+        [&](const MemRequest& request, DramCycle now) {
+            services.push_back({request.thread, request.coords.bank,
+                                request.first_command_cycle, now});
+        });
+    h.Enqueue(3, 0, 1);
+    h.Enqueue(3, 1, 1);
+    h.Enqueue(63, 2, 1);
+    h.Enqueue(64, 3, 1);
+    h.Enqueue(79, 4, 1);
+    h.Enqueue(79, 5, 1);
+    h.Enqueue(79, 6, 1);
+    h.Tick(25);
+    h.Enqueue(64, 7, 2);
+    h.Enqueue(64, 7, 2, 1);
+    h.Enqueue(64, 0, 2);
+    h.Enqueue(70, 1, 3);
+    h.Enqueue(3, 2, 3);
+    h.RunUntilIdle();
+    ASSERT_EQ(services.size(), 12u);
+
+    // A read is in service from its first command up to, not including,
+    // its retiring cycle; BLP counts the distinct banks a thread has in
+    // service on each cycle.
+    std::vector<std::uint64_t> sum(kThreads, 0);
+    std::vector<std::uint64_t> cycles(kThreads, 0);
+    for (DramCycle cycle = 0; cycle < h.now(); ++cycle) {
+        std::vector<std::vector<bool>> busy(
+            kThreads, std::vector<bool>(8, false));
+        for (const Service& service : services) {
+            if (service.begin <= cycle && cycle < service.end) {
+                busy[service.thread][service.bank] = true;
+            }
+        }
+        for (ThreadId thread = 0; thread < kThreads; ++thread) {
+            const auto banks = static_cast<std::uint64_t>(std::count(
+                busy[thread].begin(), busy[thread].end(), true));
+            sum[thread] += banks;
+            cycles[thread] += banks > 0 ? 1 : 0;
+        }
+    }
+    for (ThreadId thread = 0; thread < kThreads; ++thread) {
+        const ControllerThreadStats& stats =
+            h.controller().thread_stats(thread);
+        EXPECT_EQ(stats.blp_sum, sum[thread]) << "thread " << thread;
+        EXPECT_EQ(stats.blp_cycles, cycles[thread]) << "thread " << thread;
+    }
+    // The reference itself saw overlap in both words; the per-thread
+    // figures are pinned as well.
+    using Blp = std::vector<std::uint64_t>;
+    const std::vector<ThreadId> watched = {3, 63, 64, 70, 79};
+    Blp watched_sum;
+    Blp watched_cycles;
+    for (ThreadId thread : watched) {
+        watched_sum.push_back(h.controller().thread_stats(thread).blp_sum);
+        watched_cycles.push_back(
+            h.controller().thread_stats(thread).blp_cycles);
+    }
+    EXPECT_EQ(watched_sum, (Blp{64, 17, 65, 28, 51}));
+    EXPECT_EQ(watched_cycles, (Blp{51, 17, 41, 28, 25}));
+    EXPECT_GT(sum[3], cycles[3]);
+    EXPECT_GT(sum[79], cycles[79]);
 }
 
 TEST(Controller, ReadsPrioritizedOverWrites)

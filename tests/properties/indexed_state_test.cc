@@ -44,14 +44,16 @@ constexpr std::uint32_t kThreads = 4;
 
 /** Shadow model: flat per-bank arrival-ordered id lists. */
 struct ShadowModel {
-    std::vector<std::vector<RequestId>> queued_ids{
-        std::vector<std::vector<RequestId>>(kRanks * kBanksPerRank)};
+    explicit ShadowModel(std::uint32_t num_banks) : queued_ids(num_banks) {}
+
+    std::vector<std::vector<RequestId>> queued_ids;
     std::vector<RequestId> buffered; ///< arrival order, includes in-burst
 
     void
     ExpectMatches(const RequestQueue& queue) const
     {
-        for (std::uint32_t bank = 0; bank < kRanks * kBanksPerRank; ++bank) {
+        std::vector<std::uint32_t> occupied;
+        for (std::uint32_t bank = 0; bank < queued_ids.size(); ++bank) {
             ASSERT_EQ(queue.QueuedInBank(bank), queued_ids[bank].size())
                 << "bank " << bank;
             std::vector<RequestId> chain;
@@ -60,32 +62,48 @@ struct ShadowModel {
             }
             ASSERT_EQ(chain, queued_ids[bank])
                 << "bank " << bank << " chain order diverged";
+            if (!queued_ids[bank].empty()) {
+                occupied.push_back(bank);
+            }
         }
+        // The occupied-bank walk visits exactly the non-empty banks, in
+        // ascending order.
+        std::vector<std::uint32_t> walked;
+        queue.ForEachQueuedBank(
+            [&](std::uint32_t bank) { walked.push_back(bank); });
+        ASSERT_EQ(walked, occupied);
         ASSERT_EQ(queue.size(), buffered.size());
     }
 };
 
-TEST(IndexedQueueFuzz, IndexMatchesRebuildAfterEveryOperation)
+/**
+ * Random add / remove / begin-service sequences on one buffer, each
+ * operation followed by CheckIndex and the shadow-model comparison.
+ */
+void
+FuzzIndex(std::uint32_t ranks, std::uint32_t banks_per_rank,
+          std::uint32_t threads, std::size_t capacity, int steps)
 {
+    const std::uint32_t num_banks = ranks * banks_per_rank;
     for (std::uint64_t scenario = 0; scenario < 8; ++scenario) {
         Rng rng(ScenarioSeed(scenario));
-        RequestQueue queue(32, kThreads, kRanks, kBanksPerRank);
-        ShadowModel model;
+        RequestQueue queue(capacity, threads, ranks, banks_per_rank);
+        ShadowModel model(num_banks);
         RequestId next_id = 1;
-        std::vector<std::uint64_t> last_gen(kRanks * kBanksPerRank, 0);
+        std::vector<std::uint64_t> last_gen(num_banks, 0);
 
-        for (int step = 0; step < 600; ++step) {
+        for (int step = 0; step < steps; ++step) {
             const std::uint64_t op = rng.NextBelow(4);
             if (op <= 1 && !queue.Full()) {
                 // Add a fresh queued request.
                 auto request = std::make_unique<MemRequest>();
                 request->id = next_id++;
                 request->thread =
-                    static_cast<ThreadId>(rng.NextBelow(kThreads));
+                    static_cast<ThreadId>(rng.NextBelow(threads));
                 request->coords.rank =
-                    static_cast<std::uint32_t>(rng.NextBelow(kRanks));
+                    static_cast<std::uint32_t>(rng.NextBelow(ranks));
                 request->coords.bank =
-                    static_cast<std::uint32_t>(rng.NextBelow(kBanksPerRank));
+                    static_cast<std::uint32_t>(rng.NextBelow(banks_per_rank));
                 request->coords.row =
                     static_cast<std::uint32_t>(rng.NextBelow(16));
                 const std::uint32_t flat = queue.FlatBank(*request);
@@ -110,8 +128,7 @@ TEST(IndexedQueueFuzz, IndexMatchesRebuildAfterEveryOperation)
                 // request leaves its chain but stays buffered, exactly as
                 // the controller does at column-command issue.
                 std::vector<std::uint32_t> nonempty;
-                for (std::uint32_t bank = 0;
-                     bank < kRanks * kBanksPerRank; ++bank) {
+                for (std::uint32_t bank = 0; bank < num_banks; ++bank) {
                     if (!model.queued_ids[bank].empty()) {
                         nonempty.push_back(bank);
                     }
@@ -145,14 +162,25 @@ TEST(IndexedQueueFuzz, IndexMatchesRebuildAfterEveryOperation)
             // ...plus the external shadow model (contents and order).
             model.ExpectMatches(queue);
             // Generations never move backwards (memo-key soundness).
-            for (std::uint32_t bank = 0; bank < kRanks * kBanksPerRank;
-                 ++bank) {
+            for (std::uint32_t bank = 0; bank < num_banks; ++bank) {
                 const std::uint64_t gen = queue.BankGeneration(bank);
                 ASSERT_GE(gen, std::max<std::uint64_t>(last_gen[bank], 1));
                 last_gen[bank] = gen;
             }
         }
     }
+}
+
+TEST(IndexedQueueFuzz, IndexMatchesRebuildAfterEveryOperation)
+{
+    FuzzIndex(kRanks, kBanksPerRank, kThreads, 32, 600);
+}
+
+TEST(IndexedQueueFuzz, WideGeometryIndexMatchesRebuild)
+{
+    // 80 banks: the occupied-bank bits span a full first word and a
+    // partial second one; 70 threads span two words of thread ids.
+    FuzzIndex(2, 40, 70, 48, 1200);
 }
 
 SchedulerConfig
@@ -168,11 +196,13 @@ struct CheckedHarness {
     explicit CheckedHarness(
         std::unique_ptr<Scheduler> scheduler,
         ControllerConfig config = ControllerHarness::DefaultConfig(),
-        dram::TimingParams timing = test::TestTiming())
+        dram::TimingParams timing = test::TestTiming(),
+        std::uint32_t threads = kThreads,
+        dram::Geometry geometry = test::TestGeometry())
         : owned(std::make_unique<oracle::ScanChecked>(std::move(scheduler),
                                                       config)),
           oracle(owned.get()),
-          h(std::move(owned), kThreads, config, timing)
+          h(std::move(owned), threads, config, timing, geometry)
     {
         oracle->Bind(h.controller());
     }
@@ -260,6 +290,53 @@ TEST_P(IndexedSelectionExactness, EveryPickCrossChecksUnderRandomTraffic)
     for (std::uint64_t scenario = 0; scenario < 4; ++scenario) {
         CheckedHarness x(MakeScheduler(ConfigFor(GetParam())));
         DriveRandomTraffic(x.h, ScenarioSeed(scenario));
+        EXPECT_EQ(x.oracle->cycles_checked(), x.h.now());
+        EXPECT_GT(x.oracle->picks_checked(), 0u);
+    }
+}
+
+TEST_P(IndexedSelectionExactness, WideGeometryMatchesFullScan)
+{
+    // 2 ranks x 64 banks: the occupied-bank bits fill two words, so a walk
+    // that stops after the first word leaves banks 64-127 unserved.  80
+    // threads put thread ids in two words as well; refresh and a small
+    // write buffer keep the refresh-blocked and drain-first paths live.
+    dram::Geometry geometry = test::TestGeometry();
+    geometry.ranks_per_channel = 2;
+    geometry.banks_per_rank = 64;
+    constexpr std::uint32_t kWideThreads = 80;
+    ControllerConfig config = ControllerHarness::DefaultConfig();
+    config.enable_refresh = true;
+    config.write_queue_capacity = 16;
+    config.write_drain_high = 12;
+    config.write_drain_low = 4;
+    dram::TimingParams timing = test::TestTiming();
+    timing.tREFI = 400;
+    for (std::uint64_t scenario = 0; scenario < 2; ++scenario) {
+        CheckedHarness x(MakeScheduler(ConfigFor(GetParam())), config,
+                         timing, kWideThreads, geometry);
+        Rng rng(ScenarioSeed(200 + scenario));
+        std::uint64_t high_bank_requests = 0;
+        for (int round = 0; round < 600; ++round) {
+            const bool write = rng.NextBool(0.3);
+            if (write ? x.h.controller().CanAcceptWrite()
+                      : x.h.controller().pending_reads() < 100) {
+                const auto rank =
+                    static_cast<std::uint32_t>(rng.NextBelow(2));
+                high_bank_requests += rank;
+                x.h.Enqueue(
+                    static_cast<ThreadId>(rng.NextBelow(kWideThreads)),
+                    static_cast<std::uint32_t>(rng.NextBelow(64)),
+                    static_cast<std::uint32_t>(rng.NextBelow(8)),
+                    static_cast<std::uint32_t>(rng.NextBelow(32)), write,
+                    rank);
+            }
+            x.h.Tick(static_cast<std::uint64_t>(rng.NextBelow(4)));
+        }
+        x.h.RunUntilIdle(200000);
+        EXPECT_GT(high_bank_requests, 100u);
+        EXPECT_EQ(x.h.controller().pending_reads(), 0u);
+        EXPECT_EQ(x.h.controller().pending_writes(), 0u);
         EXPECT_EQ(x.oracle->cycles_checked(), x.h.now());
         EXPECT_GT(x.oracle->picks_checked(), 0u);
     }

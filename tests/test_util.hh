@@ -71,13 +71,14 @@ class ControllerHarness {
     /** Enqueues a request with explicit coordinates; returns its id. */
     RequestId
     Enqueue(ThreadId thread, std::uint32_t bank, std::uint32_t row,
-            std::uint32_t column = 0, bool is_write = false)
+            std::uint32_t column = 0, bool is_write = false,
+            std::uint32_t rank = 0)
     {
         auto request = std::make_unique<MemRequest>();
         request->id = next_id_++;
         request->thread = thread;
         request->coords.channel = 0;
-        request->coords.rank = 0;
+        request->coords.rank = rank;
         request->coords.bank = bank;
         request->coords.row = row;
         request->coords.column = column;
