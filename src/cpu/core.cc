@@ -43,6 +43,86 @@ Core::SkipQuiescentCycles(std::uint64_t n)
     }
 }
 
+std::uint64_t
+Core::SteadyRun() const
+{
+    const std::uint32_t width = config_.width;
+    if (!unissued_.empty() || !fetching_.has_value() ||
+        window_occupancy_ < width) {
+        return 0;
+    }
+    // Commit frees `width` slots a tick and fetch refills them from the
+    // entry's compute, so the fetch side lasts this many ticks.
+    const std::uint64_t fetch_ticks = fetch_compute_left_ / width;
+    const std::uint64_t fetch_instructions = fetch_ticks * width;
+    std::uint64_t prefix = 0;
+    for (const Slot& slot : window_) {
+        if (prefix >= fetch_instructions) {
+            break;
+        }
+        if (slot.kind == Slot::Kind::kCompute) {
+            prefix += slot.count;
+        } else if (slot.done) {
+            prefix += 1; // A returned load, or an issued store.
+        } else {
+            return prefix / width; // Commit stalls on this load.
+        }
+    }
+    // No outstanding load in reach: what the window holds commits, then
+    // the compute fetched behind it.
+    return fetch_ticks;
+}
+
+void
+Core::AdvanceSteady(std::uint64_t n)
+{
+    if (n == 0) {
+        return;
+    }
+    const std::uint64_t moved = n * config_.width;
+    PARBS_ASSERT(unissued_.empty() && fetching_.has_value() &&
+                     moved <= fetch_compute_left_,
+                 "steady advance beyond the fetched entry's compute");
+    stats_.cycles += n;
+    stats_.instructions += moved;
+    fetch_compute_left_ -= static_cast<std::uint32_t>(moved);
+    // Commit pops the window's first min(moved, occupancy) instructions
+    // (the rest of `moved` is fetched compute committing behind them), and
+    // fetch refills as many at the tail, so the occupancy holds.
+    std::uint64_t left = std::min<std::uint64_t>(moved, window_occupancy_);
+    const auto refill = static_cast<std::uint32_t>(left);
+    while (left > 0) {
+        Slot& head = window_.front();
+        if (head.kind == Slot::Kind::kCompute) {
+            const auto taken = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(left, head.count));
+            head.count -= taken;
+            left -= taken;
+            if (head.count == 0) {
+                window_.pop_front();
+            }
+            continue;
+        }
+        PARBS_ASSERT(head.done, "steady advance past an incomplete load");
+        left -= 1;
+        window_.pop_front();
+    }
+    AppendCompute(refill);
+}
+
+void
+Core::AppendCompute(std::uint32_t n)
+{
+    if (!window_.empty() && window_.back().kind == Slot::Kind::kCompute) {
+        window_.back().count += n;
+        return;
+    }
+    Slot slot;
+    slot.kind = Slot::Kind::kCompute;
+    slot.count = n;
+    window_.push_back(slot);
+}
+
 std::uint64_t*
 Core::HeadStallCounter()
 {
@@ -165,15 +245,7 @@ Core::Fetch()
             const std::uint32_t n = std::min(
                 {budget, fetch_compute_left_,
                  config_.window_size - window_occupancy_});
-            if (!window_.empty() &&
-                window_.back().kind == Slot::Kind::kCompute) {
-                window_.back().count += n;
-            } else {
-                Slot slot;
-                slot.kind = Slot::Kind::kCompute;
-                slot.count = n;
-                window_.push_back(slot);
-            }
+            AppendCompute(n);
             window_occupancy_ += n;
             budget -= n;
             fetch_compute_left_ -= n;

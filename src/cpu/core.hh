@@ -144,6 +144,26 @@ class Core {
      */
     void SkipQuiescentCycles(std::uint64_t n);
 
+    /**
+     * The number k of upcoming ticks that are *steady*: each commits
+     * `width` instructions, issues nothing and fetches only compute
+     * instructions of the trace entry in progress, unless a read returns
+     * first (DESIGN.md §5g, "Dormant cores").  0 when a memory operation
+     * is unissued, when no entry is being fetched (the next fetch would
+     * call TraceSource::Next) or when fewer than `width` instructions are
+     * in the window.  Otherwise k = min(compute left to fetch, committable
+     * prefix) / width, where the prefix ends at the oldest load whose
+     * data has not returned.
+     */
+    std::uint64_t SteadyRun() const;
+
+    /**
+     * Applies exactly what @p n more steady ticks apply: `cycles`,
+     * `instructions` and the window turning over by n * width.
+     * @pre n <= SteadyRun() and nothing reached the core since.
+     */
+    void AdvanceSteady(std::uint64_t n);
+
     /** Notification that the DRAM read with @p id returned its data. */
     void OnReadComplete(RequestId id);
 
@@ -190,6 +210,10 @@ class Core {
     /** The stall counter a cycle without commit charges (null when the
      *  window is empty or its head can commit). */
     std::uint64_t* HeadStallCounter();
+
+    /** Appends @p n fetched compute instructions at the window's tail,
+     *  joining a trailing compute slot. */
+    void AppendCompute(std::uint32_t n);
 
     /** Each returns whether it made progress. */
     bool Commit();

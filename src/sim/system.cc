@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -123,6 +124,7 @@ System::System(const SystemConfig& config,
     const std::size_t core_words = (cores_.size() + 63) / 64;
     awake_.assign(core_words, 0);
     asleep_since_.assign(cores_.size(), 0);
+    steady_wake_.assign(cores_.size(), kNeverCycle);
     active_cores_ = 0;
     for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
         if (cores_[thread]->Done()) {
@@ -198,11 +200,13 @@ System::LookaheadWindow() const
     return std::min(read_burst, write_burst);
 }
 
-void
+bool
 System::TickCores()
 {
-    // Wakes happen only before the sweep (retires, notifications): issuing
-    // only fills queues, so the awake set cannot grow mid-sweep.
+    // Wakes happen only before the sweep (retires, notifications, steady
+    // wakes): issuing only fills queues, so the awake set cannot grow
+    // mid-sweep.
+    std::uint64_t any_awake = 0;
     for (std::size_t word = 0; word < awake_.size(); ++word) {
         std::uint64_t pending = awake_[word];
         while (pending != 0) {
@@ -219,6 +223,18 @@ System::TickCores()
                     core_done_[thread] = 1;
                     active_cores_ -= 1;
                 }
+                // The next `run` ticks are steady; they issue nothing, so
+                // only a read return can change them.  A run of one tick
+                // is cheaper to execute than to schedule.
+                const std::uint64_t run = core.SteadyRun();
+                if (run >= 2) {
+                    awake_[word] &= ~(std::uint64_t{1} << bit);
+                    asleep_since_[thread] = cpu_cycle_ + 1;
+                    steady_wake_[thread] = cpu_cycle_ + 1 + run;
+                    wake_heap_.push_back({steady_wake_[thread], thread});
+                    std::push_heap(wake_heap_.begin(), wake_heap_.end(),
+                                   std::greater<>());
+                }
                 continue;
             }
             // Every later tick would repeat this one until a read returns
@@ -232,7 +248,9 @@ System::TickCores()
                 waiters[word] |= std::uint64_t{1} << bit;
             }
         }
+        any_awake |= awake_[word];
     }
+    return any_awake != 0;
 }
 
 void
@@ -244,14 +262,35 @@ System::WakeCore(ThreadId thread)
         return;
     }
     word |= bit;
-    // Account the skipped ticks before anything reaches the core.  A Run
-    // that unwinds mid-sweep leaves the cores that fell asleep in that
-    // sweep one cycle ahead of the clock, with nothing to add.
+    // Account the skipped ticks before anything reaches the core.  A
+    // steady sleeper woken before its run ends (by a read return, or at a
+    // flush point) takes only the elapsed ticks.  A Run that unwinds
+    // mid-sweep leaves the cores that fell asleep in that sweep one cycle
+    // ahead of the clock, with nothing to add.
     const std::uint64_t skipped = cpu_cycle_ > asleep_since_[thread]
                                       ? cpu_cycle_ - asleep_since_[thread]
                                       : 0;
-    cores_[thread]->SkipQuiescentCycles(skipped);
+    if (steady_wake_[thread] != kNeverCycle) {
+        cores_[thread]->AdvanceSteady(skipped);
+        steady_wake_[thread] = kNeverCycle;
+    } else {
+        cores_[thread]->SkipQuiescentCycles(skipped);
+    }
     skipped_core_ticks_ += skipped;
+}
+
+void
+System::WakeSteadySleepers()
+{
+    while (!wake_heap_.empty() && wake_heap_.front().cycle <= cpu_cycle_) {
+        const SteadyWake due = wake_heap_.front();
+        std::pop_heap(wake_heap_.begin(), wake_heap_.end(),
+                      std::greater<>());
+        wake_heap_.pop_back();
+        if (steady_wake_[due.thread] == due.cycle) {
+            WakeCore(due.thread);
+        }
+    }
 }
 
 void
@@ -274,6 +313,27 @@ System::WakeAllCores()
     for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
         WakeCore(thread);
     }
+    wake_heap_.clear(); // Every entry is stale now.
+}
+
+CpuCycle
+System::NextCoreEvent(CpuCycle core_end) const
+{
+    // Every cycle before the returned one would only find no core awake:
+    // no DRAM tick applies retires, no notification or steady run is due,
+    // and no progress check follows it.
+    const CpuCycle ratio = config_.cpu_to_dram_ratio;
+    CpuCycle next = std::min(
+        {core_end, (cpu_cycle_ + ratio - 1) / ratio * ratio,
+         next_notify_ready_});
+    if (!wake_heap_.empty()) {
+        next = std::min(next, wake_heap_.front().cycle);
+    }
+    if (progress_bound_cpu_ != 0) {
+        // The check runs after the cycle before next_progress_check_.
+        next = std::min(next, next_progress_check_ - 1);
+    }
+    return next;
 }
 
 void
@@ -377,7 +437,11 @@ System::Run(CpuCycle cpu_cycles)
             if (next_notify_ready_ <= cpu_cycle_) {
                 DeliverNotifications();
             }
-            TickCores();
+            if (!wake_heap_.empty() &&
+                wake_heap_.front().cycle <= cpu_cycle_) {
+                WakeSteadySleepers();
+            }
+            const bool any_awake = TickCores();
             cpu_cycle_ += 1;
             if (progress_bound_cpu_ != 0 &&
                 cpu_cycle_ >= next_progress_check_) {
@@ -389,6 +453,11 @@ System::Run(CpuCycle cpu_cycles)
             if (AllDone()) {
                 all_done = true;
                 break;
+            }
+            // Skip the cycles in which no core would tick; their ticks are
+            // accounted when each core wakes.
+            if (!any_awake) {
+                cpu_cycle_ = NextCoreEvent(core_end);
             }
         }
         if (eng_ != nullptr) {
@@ -748,8 +817,18 @@ std::uint64_t
 System::ProgressSignature() const
 {
     std::uint64_t signature = 0;
-    for (const auto& core : cores_) {
-        signature += core->stats().instructions;
+    for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
+        signature += cores_[thread]->stats().instructions;
+        // A steady sleeper commits `width` instructions a cycle that its
+        // stats show only once it wakes.
+        const CpuCycle wake = steady_wake_[thread];
+        if (wake != kNeverCycle) {
+            const CpuCycle until = std::min(cpu_cycle_, wake);
+            if (until > asleep_since_[thread]) {
+                signature += (until - asleep_since_[thread]) *
+                             config_.core.width;
+            }
+        }
     }
     for (const auto& controller : controllers_) {
         signature += controller->total_commands_issued();

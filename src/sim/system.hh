@@ -157,10 +157,10 @@ class System : public MemoryPort {
      *  §5g for the bound). */
     DramCycle lookahead_window() const { return window_; }
 
-    /** Core ticks the sweep skipped and accounted in bulk instead
-     *  (DESIGN.md §5g, "Dormant cores"); deterministic and the same at
-     *  every channel_jobs.  The cores' `cycles` minus this count is the
-     *  number of ticks the sweep ran. */
+    /** Core ticks the sweep skipped and accounted in bulk instead, both
+     *  quiescent and steady ones (DESIGN.md §5g, "Dormant cores");
+     *  deterministic and the same at every channel_jobs.  The cores'
+     *  `cycles` minus this count is the number of ticks the sweep ran. */
     std::uint64_t skipped_core_ticks() const { return skipped_core_ticks_; }
 
     // --- MemoryPort -------------------------------------------------------
@@ -238,21 +238,43 @@ class System : public MemoryPort {
     // --- dormant cores (DESIGN.md §5g) -------------------------------------
 
     /** One bit per core, set while the sweep ticks it.  A core sleeps
-     *  after a tick without progress, until WakeCore. */
+     *  after a tick without progress (dormant), or after a tick followed
+     *  by a steady run (Core::SteadyRun), until WakeCore. */
     std::vector<std::uint64_t> awake_;
     /** Per sleeping core: the first CPU cycle it was not ticked for. */
     std::vector<CpuCycle> asleep_since_;
+    /** Per steady sleeper: the cycle its steady run ends and it ticks
+     *  again; kNeverCycle for awake and dormant cores. */
+    std::vector<CpuCycle> steady_wake_;
+    struct SteadyWake {
+        CpuCycle cycle;
+        ThreadId thread;
+        bool operator>(const SteadyWake& other) const
+        {
+            return cycle > other.cycle;
+        }
+    };
+    /** The steady sleepers' wake cycles, a min-heap; entries that no
+     *  longer match steady_wake_ are stale and dropped when popped. */
+    std::vector<SteadyWake> wake_heap_;
     /** Queues that rejected the ticking core, as 2 * channel + is_write. */
     std::vector<std::uint32_t> rejected_;
     std::uint64_t skipped_core_ticks_ = 0;
 
-    /** Accounts @p thread's skipped cycles and puts it back in the sweep;
-     *  a no-op for an awake core. */
+    /** Accounts @p thread's skipped cycles (in closed form for a steady
+     *  sleeper) and puts it back in the sweep; a no-op for an awake
+     *  core. */
     void WakeCore(ThreadId thread);
     /** Wakes every core registered in @p waiters and clears them. */
     void WakeWaiters(std::vector<std::uint64_t>& waiters);
+    /** Wakes the steady sleepers whose runs end at or before this cycle. */
+    void WakeSteadySleepers();
     /** Wakes every core, so each Core::stats() is exact at this cycle. */
     void WakeAllCores();
+    /** With no core awake: the next CPU cycle the core phase must visit
+     *  (a DRAM tick, a notification, a steady wake, a progress check or
+     *  @p core_end). */
+    CpuCycle NextCoreEvent(CpuCycle core_end) const;
 
     DramCycle DramNow() const { return cpu_cycle_ / config_.cpu_to_dram_ratio; }
 
@@ -411,9 +433,10 @@ class System : public MemoryPort {
     void AdvanceChannel(std::uint32_t channel);
 
     /** Ticks every awake core once, in thread order, puts the ones that
-     *  made no progress to sleep, and tracks the (monotone) done
-     *  transitions for the O(1) end-of-run probe. */
-    void TickCores();
+     *  made no progress or face a steady run to sleep, and tracks the
+     *  (monotone) done transitions for the O(1) end-of-run probe.
+     *  @return whether any core is still awake. */
+    bool TickCores();
 
     /**
      * Rebuilds the pre-published notification schedule at a window

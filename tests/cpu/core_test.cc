@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <random>
 
 #include "common/assert.hh"
 #include "cpu/core.hh"
@@ -22,7 +24,10 @@ class MockPort : public MemoryPort {
             return std::nullopt;
         }
         const RequestId id = next_id++;
-        pending[id] = {addr, now + read_latency};
+        const auto slow = latency_for.find(addr);
+        pending[id] = {addr, now + (slow != latency_for.end()
+                                        ? slow->second
+                                        : read_latency)};
         reads_seen += 1;
         return id;
     }
@@ -60,6 +65,8 @@ class MockPort : public MemoryPort {
     };
     CpuCycle now = 0;
     CpuCycle read_latency = 50;
+    /** Per-address read latencies overriding read_latency. */
+    std::map<Addr, CpuCycle> latency_for;
     bool accept_reads = true;
     bool accept_writes = true;
     RequestId next_id = 1;
@@ -302,17 +309,34 @@ TEST(Core, DoneOnlyAfterDrain)
     EXPECT_TRUE(core.Done());
 }
 
-/** Every CoreStats field of @p a equals @p b's. */
+/** Every CoreStats field of @p a equals @p b's, or names the first that
+ *  differs. */
+::testing::AssertionResult
+SameStats(const CoreStats& a, const CoreStats& b)
+{
+    static constexpr std::pair<const char*, std::uint64_t CoreStats::*>
+        kFields[] = {
+            {"cycles", &CoreStats::cycles},
+            {"instructions", &CoreStats::instructions},
+            {"load_stall_cycles", &CoreStats::load_stall_cycles},
+            {"store_stall_cycles", &CoreStats::store_stall_cycles},
+            {"loads_issued", &CoreStats::loads_issued},
+            {"loads_completed", &CoreStats::loads_completed},
+            {"stores_issued", &CoreStats::stores_issued},
+        };
+    for (const auto& [name, field] : kFields) {
+        if (a.*field != b.*field) {
+            return ::testing::AssertionFailure()
+                   << name << " " << a.*field << " vs " << b.*field;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
 void
 ExpectSameStats(const CoreStats& a, const CoreStats& b)
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.load_stall_cycles, b.load_stall_cycles);
-    EXPECT_EQ(a.store_stall_cycles, b.store_stall_cycles);
-    EXPECT_EQ(a.loads_issued, b.loads_issued);
-    EXPECT_EQ(a.loads_completed, b.loads_completed);
-    EXPECT_EQ(a.stores_issued, b.stores_issued);
+    EXPECT_TRUE(SameStats(a, b));
 }
 
 TEST(Core, TickReportsProgressExactly)
@@ -492,6 +516,356 @@ TEST(Core, SleepingTwinMatchesTheTickingCore)
     EXPECT_EQ(ticked_port.writes_seen, twin_port.writes_seen);
     // The twin really slept.
     EXPECT_GT(skipped, ticked.stats().cycles / 4);
+}
+
+/** One core with its own trace and port; pinned, since the core holds
+ *  references to both. */
+struct CoreRig {
+    CoreRig(const std::vector<TraceEntry>& entries, const CoreConfig& config,
+            const MockPort& port_template)
+        : port(port_template), trace(entries), core(config, 0, trace, port)
+    {
+    }
+    CoreRig(const CoreRig&) = delete;
+    CoreRig& operator=(const CoreRig&) = delete;
+
+    /** One cycle: due read returns reach the core, then it ticks. */
+    bool
+    Step()
+    {
+        for (RequestId id : port.Tick()) {
+            core.OnReadComplete(id);
+        }
+        return core.Tick();
+    }
+
+    MockPort port;
+    VectorTraceSource trace;
+    Core core;
+};
+
+/** What RunTwins saw. */
+struct TwinReport {
+    /** (cycle, SteadyRun()) after each of the twin's ticks with a steady
+     *  run ahead. */
+    std::vector<std::pair<CpuCycle, std::uint64_t>> runs;
+    /** Sleeps cut short by a read return, and ticks advanced in closed
+     *  form. */
+    std::uint64_t early_wakes = 0;
+    std::uint64_t advanced = 0;
+};
+
+/**
+ * Ticks one core on every cycle and a twin that sleeps through steady runs
+ * the way the System does (DESIGN.md §5g, "Dormant cores"): after a tick
+ * with k = SteadyRun() >= 1, the twin sleeps pick(i, k) <= k cycles (i
+ * counts such ticks; 0 stays awake), and catches up with AdvanceSteady
+ * when the sleep ends or, earlier, before a read return reaches it.  The
+ * twin must equal the ticked core at every catch-up and after every tick,
+ * and the two must issue the same requests on the same cycles.
+ */
+TwinReport
+RunTwins(const std::vector<TraceEntry>& entries, const CoreConfig& config,
+         const MockPort& port,
+         const std::function<std::uint64_t(std::size_t, std::uint64_t)>&
+             pick,
+         CpuCycle cycles = 20000)
+{
+    CoreRig ticked(entries, config, port);
+    CoreRig twin(entries, config, port);
+    TwinReport report;
+    bool asleep = false;
+    CpuCycle since = 0;
+    CpuCycle wake = 0;
+    CpuCycle now = 0;
+    for (; now < cycles && !ticked.core.Done(); ++now) {
+        const std::vector<RequestId> ticked_ready = ticked.port.Tick();
+        const std::vector<RequestId> twin_ready = twin.port.Tick();
+        if (ticked_ready != twin_ready) {
+            ADD_FAILURE() << "read returns diverged at cycle " << now;
+            return report;
+        }
+        if (asleep && (now == wake || !twin_ready.empty())) {
+            report.early_wakes += now < wake ? 1 : 0;
+            report.advanced += now - since;
+            twin.core.AdvanceSteady(now - since);
+            asleep = false;
+            const auto same = SameStats(ticked.core.stats(),
+                                        twin.core.stats());
+            if (!same) {
+                ADD_FAILURE() << "catch-up at cycle " << now << ": "
+                              << same.message();
+                return report;
+            }
+        }
+        for (RequestId id : ticked_ready) {
+            ticked.core.OnReadComplete(id);
+        }
+        for (RequestId id : twin_ready) {
+            twin.core.OnReadComplete(id);
+        }
+        const bool progress = ticked.core.Tick();
+        if (asleep) {
+            continue;
+        }
+        const bool twin_progress = twin.core.Tick();
+        const auto same = SameStats(ticked.core.stats(), twin.core.stats());
+        if (!same || progress != twin_progress ||
+            ticked.port.reads_seen != twin.port.reads_seen ||
+            ticked.port.writes_seen != twin.port.writes_seen) {
+            ADD_FAILURE() << "tick at cycle " << now << " diverged: "
+                          << same.message();
+            return report;
+        }
+        const std::uint64_t run = twin.core.SteadyRun();
+        if (run == 0) {
+            continue;
+        }
+        EXPECT_TRUE(progress) << "steady run after a quiescent tick";
+        report.runs.emplace_back(now, run);
+        const std::uint64_t sleep = pick(report.runs.size() - 1, run);
+        if (sleep > 0) {
+            asleep = true;
+            since = now + 1;
+            wake = now + 1 + sleep;
+        }
+    }
+    if (asleep) {
+        // A flush point mid-sleep: only the elapsed ticks apply.
+        twin.core.AdvanceSteady(now - since);
+        report.advanced += now - since;
+    }
+    EXPECT_TRUE(SameStats(ticked.core.stats(), twin.core.stats()));
+    EXPECT_EQ(ticked.core.Done(), twin.core.Done());
+    EXPECT_EQ(ticked.port.reads_seen, twin.port.reads_seen);
+    EXPECT_EQ(ticked.port.writes_seen, twin.port.writes_seen);
+    return report;
+}
+
+/**
+ * At the first tick of each of the first @p points steady runs, and for
+ * every j <= k there: a twin advanced by j in closed form equals the core
+ * ticked j times, and stays equal on every later tick.  @return k at
+ * each run start.
+ */
+std::vector<std::uint64_t>
+ExpectEveryRunLengthMatches(const std::vector<TraceEntry>& entries,
+                            const CoreConfig& config, const MockPort& port,
+                            std::size_t points, CpuCycle cycles = 4000)
+{
+    const auto runs = RunTwins(entries, config, port,
+                               [](std::size_t, std::uint64_t) { return 0; },
+                               cycles)
+                          .runs;
+    std::vector<std::uint64_t> starts;
+    for (std::size_t point = 0;
+         point < runs.size() && starts.size() < points; ++point) {
+        if (point > 0 && runs[point].first == runs[point - 1].first + 1) {
+            continue; // The same run, one tick on.
+        }
+        starts.push_back(runs[point].second);
+        for (std::uint64_t j = 1; j <= runs[point].second; ++j) {
+            SCOPED_TRACE("run at cycle " +
+                         std::to_string(runs[point].first) + ", j=" +
+                         std::to_string(j));
+            RunTwins(
+                entries, config, port,
+                [&](std::size_t i, std::uint64_t) {
+                    return i == point ? j : 0;
+                },
+                cycles);
+            if (::testing::Test::HasFailure()) {
+                return starts;
+            }
+        }
+    }
+    return starts;
+}
+
+TEST(Core, SteadyRunIsZeroWithAnUnissuedMemoryOp)
+{
+    // A load holds the head while compute fills the window behind it; a
+    // store fetched meanwhile cannot enter the full write buffer.  Once
+    // the load returns, commit has compute to chew through, but the store
+    // waits in unissued_, so no tick is steady.
+    MockPort port;
+    port.read_latency = 40;
+    port.accept_writes = false;
+    VectorTraceSource trace({Load(0x0), Store(0x40, 60), Load(0x80, 3000)});
+    Core core(CoreConfig{}, 0, trace, port);
+    std::uint64_t committed_ticks = 0;
+    for (int i = 0; i < 120; ++i) {
+        for (RequestId id : port.Tick()) {
+            core.OnReadComplete(id);
+        }
+        const std::uint64_t before = core.stats().instructions;
+        core.Tick();
+        committed_ticks += core.stats().instructions - before == 3 ? 1 : 0;
+        EXPECT_EQ(core.SteadyRun(), 0u) << "tick " << i;
+    }
+    EXPECT_GT(committed_ticks, 10u);
+    EXPECT_EQ(core.stats().stores_issued, 0u);
+}
+
+TEST(Core, SteadyRunIsZeroWithNoEntryInFetch)
+{
+    // The trace drained while the first load was out; once it returns,
+    // compute commits at full width, but the next fetch would ask the
+    // trace again.
+    MockPort port;
+    port.read_latency = 30;
+    CoreRig rig({Load(0x0), Load(0x40, 20)}, CoreConfig{}, port);
+    for (int i = 0; i < 33; ++i) {
+        rig.Step();
+    }
+    ASSERT_EQ(rig.trace.Remaining(), 0u);
+    ASSERT_EQ(rig.core.stats().loads_completed, 1u);
+    EXPECT_EQ(rig.core.SteadyRun(), 0u);
+    const std::uint64_t before = rig.core.stats().instructions;
+    rig.Step();
+    EXPECT_EQ(rig.core.stats().instructions - before, 3u);
+}
+
+TEST(Core, SteadyRunIsZeroBelowWidthOccupancy)
+{
+    // A two-slot window never holds a full commit group.
+    MockPort port;
+    VectorTraceSource trace({Load(0x0, 600)});
+    CoreConfig config;
+    config.window_size = 2;
+    Core core(config, 0, trace, port);
+    for (int i = 0; i < 20; ++i) {
+        EXPECT_TRUE(core.Tick());
+        EXPECT_EQ(core.SteadyRun(), 0u) << "tick " << i;
+    }
+}
+
+TEST(Core, SteadyRunTurnsTheWindowOverAtWidthOccupancy)
+{
+    // From an empty window a 300-instruction entry keeps exactly `width`
+    // instructions in flight: the first tick fetches 3, leaving 297 (a
+    // multiple of the width), so 99 steady ticks follow, each turning the
+    // whole window over; the 100th fetches the load.  The next entry's
+    // run starts behind that load with 24 instructions in the window and
+    // 275 left to fetch, so it rounds down to 91 ticks.
+    const std::vector<TraceEntry> entries{Load(0x1000, 300),
+                                          Load(0x2000, 301),
+                                          Store(0x3000, 44)};
+    MockPort port;
+    port.read_latency = 7;
+    const std::vector<std::uint64_t> starts =
+        ExpectEveryRunLengthMatches(entries, CoreConfig{}, port, 3);
+    ASSERT_GE(starts.size(), 2u);
+    EXPECT_EQ(starts[0], 99u);
+    EXPECT_EQ(starts[1], 91u);
+}
+
+TEST(Core, SteadyRunStopsAtALoadStillInFlight)
+{
+    // The first load returns at cycle 22, by when the window holds 58
+    // compute instructions, the second load (never returning) and fetched
+    // compute of the third entry: 19 steady ticks commit the 57
+    // instructions a full group can reach, the 20th stalls on the load.
+    MockPort port;
+    port.read_latency = 20;
+    port.latency_for[0x40] = 100000;
+    const std::vector<TraceEntry> entries{Load(0x0), Load(0x40, 60),
+                                          Load(0x80, 3000)};
+    CoreRig rig(entries, CoreConfig{}, port);
+    for (int i = 0; i < 22; ++i) {
+        rig.Step();
+    }
+    EXPECT_EQ(rig.core.SteadyRun(), 19u);
+    ExpectEveryRunLengthMatches(entries, CoreConfig{}, port, 4, 400);
+}
+
+TEST(Core, SteadyRunCommitsReturnedLoadsAndIssuedStores)
+{
+    // While the first load is out (until cycle 42), the window fills with
+    // 10 compute, an issued store, 10 compute, a second load (back at
+    // cycle 46), 40 compute, a third load (back at 63) and the last
+    // entry's compute.  The run that starts at 42 commits through the
+    // store and stops at the second load: 19 instructions, 6 ticks.  That
+    // load returns 3 ticks in, so a twin sleeping longer wakes early,
+    // catches up, and only then sees the return; later steady ticks
+    // commit through the returned loads.
+    MockPort port;
+    port.read_latency = 40;
+    port.latency_for[0x80] = 37;
+    const std::vector<TraceEntry> entries{
+        Load(0x0), Store(0x40, 10), Load(0x80, 10), Load(0xC0, 40),
+        Load(0x100, 900)};
+    const std::vector<std::uint64_t> starts =
+        ExpectEveryRunLengthMatches(entries, CoreConfig{}, port, 2, 1500);
+    ASSERT_EQ(starts.size(), 2u);
+    EXPECT_EQ(starts[0], 6u);
+    const TwinReport whole = RunTwins(
+        entries, CoreConfig{}, port,
+        [](std::size_t, std::uint64_t run) { return run; }, 1500);
+    EXPECT_EQ(whole.early_wakes, 1u);
+    EXPECT_GT(whole.advanced, 250u);
+}
+
+/** A random trace mixing short and long compute stretches, loads (some
+ *  dependent, with latencies from a few cycles to hundreds), and stores;
+ *  load latencies go into @p port. */
+std::vector<TraceEntry>
+RandomTrace(std::uint64_t seed, MockPort& port, int length = 400)
+{
+    std::mt19937_64 rng(seed);
+    auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    std::vector<TraceEntry> entries;
+    for (int i = 0; i < length; ++i) {
+        TraceEntry e;
+        const std::uint64_t shape = uniform(0, 9);
+        e.compute_instructions = static_cast<std::uint32_t>(
+            shape < 5 ? uniform(0, 12)
+                      : (shape < 8 ? uniform(13, 150) : uniform(151, 900)));
+        e.addr = 64 * static_cast<Addr>(i + 1);
+        e.is_write = uniform(0, 3) == 0;
+        e.depends_on_prev = uniform(0, 9) == 0;
+        if (!e.is_write) {
+            port.latency_for[e.addr] = uniform(0, 2) == 0
+                                           ? uniform(2, 12)
+                                           : uniform(30, 400);
+        }
+        entries.push_back(e);
+    }
+    return entries;
+}
+
+TEST(Core, ClosedFormTwinsMatchOnRandomTraces)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        MockPort port;
+        const std::vector<TraceEntry> entries = RandomTrace(seed, port);
+        CoreConfig config;
+        config.mshrs = seed % 2 == 0 ? 6 : 32;
+        config.width = seed % 3 == 0 ? 4 : 3;
+
+        // Whole runs, then random lengths, then every length at the first
+        // few runs.
+        const TwinReport whole = RunTwins(
+            entries, config, port,
+            [](std::size_t, std::uint64_t run) { return run; }, 60000);
+        ASSERT_FALSE(HasFailure());
+        std::mt19937_64 rng(seed);
+        const TwinReport partial = RunTwins(
+            entries, config, port,
+            [&](std::size_t, std::uint64_t run) {
+                return std::uniform_int_distribution<std::uint64_t>(
+                    0, run)(rng);
+            },
+            60000);
+        ASSERT_FALSE(HasFailure());
+        EXPECT_GT(whole.advanced, 1000u);
+        EXPECT_GT(whole.early_wakes + partial.early_wakes, 0u);
+        ExpectEveryRunLengthMatches(entries, config, port, 3);
+        ASSERT_FALSE(HasFailure());
+    }
 }
 
 TEST(Core, UnknownCompletionAborts)

@@ -53,18 +53,19 @@ struct Artifacts {
     CpuCycle stop = 0;
     /** System's resolved team size; 0 for the oracle. */
     unsigned channel_jobs = 0;
+    /** System::skipped_core_ticks(); 0 for the oracle. */
+    std::uint64_t skipped_core_ticks = 0;
 };
 
-/** Runs a fresh System or oracle through @p chunks and captures every
- *  observable output byte-for-byte. */
+/** Runs a fresh System or oracle on @p traces through @p chunks and
+ *  captures every observable output byte-for-byte. */
 template <typename SystemT>
 Artifacts
-RunSystem(const SystemConfig& config, std::uint32_t cores,
-          const std::vector<CpuCycle>& chunks, double mpki = 20.0,
-          double write_fraction = 0.15)
+RunTraces(const SystemConfig& config,
+          std::vector<std::unique_ptr<TraceSource>> traces,
+          const std::vector<CpuCycle>& chunks)
 {
-    SystemT system(config,
-                   SyntheticTraces(config, cores, mpki, write_fraction));
+    SystemT system(config, std::move(traces));
     for (const CpuCycle chunk : chunks) {
         system.Run(chunk);
     }
@@ -72,6 +73,7 @@ RunSystem(const SystemConfig& config, std::uint32_t cores,
     out.stop = system.now();
     if constexpr (std::is_same_v<SystemT, System>) {
         out.channel_jobs = system.channel_jobs();
+        out.skipped_core_ticks = system.skipped_core_ticks();
     }
     std::ostringstream stats;
     system.DumpStats(stats);
@@ -82,6 +84,18 @@ RunSystem(const SystemConfig& config, std::uint32_t cores,
         out.trace = trace.str();
     }
     return out;
+}
+
+/** RunTraces on @p cores synthetic traces of one intensity. */
+template <typename SystemT>
+Artifacts
+RunSystem(const SystemConfig& config, std::uint32_t cores,
+          const std::vector<CpuCycle>& chunks, double mpki = 20.0,
+          double write_fraction = 0.15)
+{
+    return RunTraces<SystemT>(
+        config, SyntheticTraces(config, cores, mpki, write_fraction),
+        chunks);
 }
 
 /** Byte equality that reports only the first differing offset: gtest's
@@ -326,6 +340,61 @@ TEST(ShardedSystem, BackpressureMatchesTheOracle)
         EXPECT_EQ(max_writes, 6u);
         EXPECT_GT(system.skipped_core_ticks(), 0u);
     }
+}
+
+TEST(ShardedSystem, ComputeBoundRunsMatchTheOracle)
+{
+    // Twelve cores at about 1 MPKI spend most cycles in steady compute
+    // runs, which the sweep advances in closed form, and often leave no
+    // core awake, which cycles the sweep skips; four intensive threads
+    // keep read returns landing mid-run.  A return latency off the
+    // DRAM-cycle grid puts notifications between DRAM ticks, where the
+    // idle-cycle jump must stop (DESIGN.md §5g, "Dormant cores").
+    SchedulerConfig scheduler;
+    scheduler.kind = SchedulerKind::kParBs;
+    auto config = [&](unsigned jobs) {
+        SystemConfig out = TracedConfig(16, scheduler, jobs);
+        out.controller.watchdog.enabled = true;
+        out.extra_read_latency_cpu = 63;
+        return out;
+    };
+    auto traces = [](const SystemConfig& config) {
+        dram::AddressMapper mapper(config.geometry, config.xor_bank_hash);
+        std::vector<std::unique_ptr<TraceSource>> out;
+        for (ThreadId t = 0; t < 16; ++t) {
+            SyntheticParams params;
+            params.mpki = t % 4 == 3 ? 40.0 : 1.0;
+            out.push_back(std::make_unique<SyntheticTraceSource>(
+                params, mapper, t, 16, 3000 + t));
+        }
+        return out;
+    };
+    const std::vector<CpuCycle> chunks{20011, 3, 29986};
+    const Artifacts reference =
+        RunTraces<ReferenceSystem>(config(1), traces(config(1)), chunks);
+    std::vector<std::uint64_t> skipped;
+    for (const unsigned jobs : kTeamSizes) {
+        const Artifacts engine =
+            RunTraces<System>(config(jobs), traces(config(jobs)), chunks);
+        EXPECT_EQ(reference.stop, engine.stop) << "jobs=" << jobs;
+        EXPECT_EQ(reference.stats, engine.stats) << "jobs=" << jobs;
+        EXPECT_TRUE(SameBytes(reference.trace, engine.trace))
+            << "jobs=" << jobs;
+        skipped.push_back(engine.skipped_core_ticks);
+    }
+    EXPECT_EQ(skipped[1], skipped[0]);
+    EXPECT_EQ(skipped[2], skipped[0]);
+
+    // The regime: a dormant core skips only stalled ticks, so skipping
+    // more ticks than stalled proves that steady runs were skipped.
+    System system(config(1), traces(config(1)));
+    system.Run(50000);
+    std::uint64_t stalled = 0;
+    for (ThreadId t = 0; t < system.num_cores(); ++t) {
+        stalled += system.core(t).stats().load_stall_cycles +
+                   system.core(t).stats().store_stall_cycles;
+    }
+    EXPECT_GT(system.skipped_core_ticks(), stalled + 16 * 50000 / 4);
 }
 
 /** 16 cores with 40-entry traces, run until every trace drains; returns

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/assert.hh"
+#include "oracle/reference_system.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
@@ -117,6 +118,36 @@ TEST(System, ExtraReadLatencyDelaysCompletion)
         return system.core(0).stats().load_stall_cycles;
     };
     EXPECT_GE(run(slow), run(fast) + 290);
+}
+
+TEST(System, WatchdogSeesProgressThroughLongComputeRuns)
+{
+    // Entries of 200,000 compute instructions let the core sleep through
+    // steady runs of about 66,000 cycles, far beyond the global watchdog's
+    // 20,480-cycle bound, with no DRAM command in between.  The progress
+    // signature must count what a steady sleeper commits (DESIGN.md §5g,
+    // "Dormant cores"), and the run must match the per-cycle oracle.
+    SystemConfig config = SystemConfig::Baseline(1);
+    config.controller.watchdog.enabled = true;
+    auto traces = [] {
+        std::vector<TraceEntry> entries;
+        for (Addr i = 0; i < 8; ++i) {
+            entries.push_back({200'000, 0x1000 + 64 * i, false, false});
+        }
+        std::vector<std::unique_ptr<TraceSource>> out;
+        out.push_back(std::make_unique<VectorTraceSource>(entries));
+        return out;
+    };
+    System system(config, traces());
+    EXPECT_NO_THROW(system.Run(400'000));
+    oracle::ReferenceSystem reference(config, traces());
+    reference.Run(400'000);
+    std::ostringstream expected;
+    std::ostringstream actual;
+    reference.DumpStats(expected);
+    system.DumpStats(actual);
+    EXPECT_EQ(expected.str(), actual.str());
+    EXPECT_GT(system.skipped_core_ticks(), 390'000u);
 }
 
 TEST(System, TooManyTracesRejected)
