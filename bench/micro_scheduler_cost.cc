@@ -50,14 +50,15 @@ LoadedController(SchedulerKind kind, std::uint32_t requests,
     SchedulerConfig scheduler_config;
     scheduler_config.kind = kind;
     ControllerConfig config;
-    config.enable_refresh = false;
     if (customize) {
         customize(config);
     }
+    dram::TimingParams timing;
+    timing.tREFI = 0; // refresh off
     dram::Geometry geometry;
     geometry.rows_per_bank = 1024;
     auto controller = std::make_unique<Controller>(
-        config, dram::TimingParams{}, geometry, threads,
+        config, timing, geometry, threads,
         MakeScheduler(scheduler_config));
     Rng rng(42);
     for (std::uint32_t i = 0; i < requests; ++i) {

@@ -41,14 +41,12 @@ Channel::EarliestIssue(const Command& cmd) const
     return earliest;
 }
 
-ProtocolChecker&
-Channel::EnableProtocolCheck(const TimingParams* reference,
-                             ProtocolChecker::Mode mode)
+void
+Channel::EnableProtocolCheck(const TimingParams* reference)
 {
     checker_ = std::make_unique<ProtocolChecker>(
         reference != nullptr ? *reference : timing_,
-        geometry_.ranks_per_channel, geometry_.banks_per_rank, mode);
-    return *checker_;
+        geometry_.ranks_per_channel, geometry_.banks_per_rank);
 }
 
 DramCycle

@@ -120,9 +120,7 @@ class Channel {
      * while the channel runs a deliberately corrupted copy to prove the
      * corruption is caught.
      */
-    ProtocolChecker& EnableProtocolCheck(
-        const TimingParams* reference = nullptr,
-        ProtocolChecker::Mode mode = ProtocolChecker::Mode::kThrow);
+    void EnableProtocolCheck(const TimingParams* reference = nullptr);
 
     /** @return the attached checker, or nullptr when checking is off. */
     const ProtocolChecker* protocol_checker() const { return checker_.get(); }

@@ -11,7 +11,8 @@
  * values (the sharded engine preserves each channel's tick order, which
  * is the only ordering the access index depends on).
  *
- * Two fault populations, in the style of src/sim/fault_injector.*:
+ * Two fault populations, seeded like the fault-injection harness's
+ * scenarios (tests/fault/):
  *
  *  - transient bit flips: each read of a row draws independently at
  *    `transient_error_rate`; a transient error is uncorrectable with

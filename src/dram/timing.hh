@@ -47,7 +47,9 @@ struct TimingParams {
     DramCycle tCWD = 5;
     /** Refresh cycle time: REFRESH to next ACTIVATE, all banks. */
     DramCycle tRFC = 51;
-    /** Average refresh interval (refresh period / 8192 rows). */
+    /** Average refresh interval (refresh period / 8192 rows).  0 turns
+     *  refresh off for the device, the controller and the protocol
+     *  checker alike. */
     DramCycle tREFI = 3120;
 
     /** ACTIVATE-to-ACTIVATE on the same bank (row cycle). */

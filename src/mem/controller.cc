@@ -351,7 +351,7 @@ Controller::RecomputeNextRetire()
 bool
 Controller::HandleRefresh(DramCycle now)
 {
-    if (!config_.enable_refresh || channel_.timing().tREFI == 0) {
+    if (channel_.timing().tREFI == 0) {
         return false;
     }
     for (std::uint32_t r = 0; r < channel_.num_ranks(); ++r) {
@@ -413,8 +413,7 @@ Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
     if (queue.Empty()) {
         return nullptr;
     }
-    const bool refresh_active =
-        config_.enable_refresh && channel_.timing().tREFI != 0;
+    const bool refresh_active = channel_.timing().tREFI != 0;
     const bool is_write_queue = &queue == &write_queue_;
     const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();
 
@@ -652,8 +651,7 @@ Controller::TryScrub(DramCycle now)
     const std::uint32_t rank = scrub.rank();
     const std::uint32_t bank_in_rank = scrub.bank();
     // Like demand selection, never step in front of an overdue refresh.
-    if (config_.enable_refresh && channel_.timing().tREFI != 0 &&
-        channel_.rank(rank).RefreshDue(now)) {
+    if (channel_.rank(rank).RefreshDue(now)) {
         return false;
     }
     const dram::Bank& bank = channel_.bank(rank, bank_in_rank);
@@ -733,10 +731,9 @@ Controller::total_commands_issued() const
 }
 
 void
-Controller::EnableProtocolCheck(const dram::TimingParams& reference,
-                                dram::ProtocolChecker::Mode mode)
+Controller::EnableProtocolCheck(const dram::TimingParams& reference)
 {
-    channel_.EnableProtocolCheck(&reference, mode);
+    channel_.EnableProtocolCheck(&reference);
 }
 
 std::string
@@ -769,8 +766,7 @@ Controller::NextReadyBound(DramCycle now) const
     // One walk over the occupied banks' chains: the chains hold exactly
     // the queued requests, so the bound equals a full-buffer scan's, while
     // empty banks and in-burst requests cost nothing.
-    const bool refresh_active =
-        config_.enable_refresh && channel_.timing().tREFI != 0;
+    const bool refresh_active = channel_.timing().tREFI != 0;
     const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();
     DramCycle bound = kNeverCycle;
     for (const RequestQueue* queue : {&read_queue_, &write_queue_}) {

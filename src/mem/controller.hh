@@ -48,8 +48,6 @@ struct ControllerConfig {
      */
     std::size_t write_drain_high = 56;
     std::size_t write_drain_low = 24;
-    /** Model auto-refresh (tREFI/tRFC).  Disabled if timing.tREFI == 0. */
-    bool enable_refresh = true;
     /**
      * Re-validate every issued DRAM command against an independent shadow
      * model of the JEDEC constraints (see dram/protocol_checker.hh); a
@@ -222,9 +220,7 @@ class Controller {
      * may deliberately differ from the timing driving the device model —
      * the fault-injection seam).  The config flag covers the normal path.
      */
-    void EnableProtocolCheck(
-        const dram::TimingParams& reference,
-        dram::ProtocolChecker::Mode mode = dram::ProtocolChecker::Mode::kThrow);
+    void EnableProtocolCheck(const dram::TimingParams& reference);
 
     /** @return the attached checker, or nullptr when checking is off. */
     const dram::ProtocolChecker* protocol_checker() const

@@ -283,11 +283,11 @@ TEST(ProtocolChecker, ControllerWorkloadIsViolationFree)
     // Drive the full controller (with refresh) through a mixed workload:
     // the shadow model must agree with the FSMs on every command.
     ControllerConfig config;
-    config.enable_refresh = true;
     config.protocol_check = true;
     SchedulerConfig sched;
     sched.kind = SchedulerKind::kParBs;
-    test::ControllerHarness harness(MakeScheduler(sched), 4, config);
+    test::ControllerHarness harness(MakeScheduler(sched), 4, config,
+                                    TimingParams{});
     for (std::uint32_t i = 0; i < 200; ++i) {
         harness.Enqueue(i % 4, i % 8, (i * 7) % 32, i % 16,
                         /*is_write=*/(i % 5) == 0);
@@ -308,7 +308,7 @@ TEST(ProtocolChecker, SeededTrpCorruptionIsCaught)
 {
     // The fault-injection seam: device FSMs run with a skipped tRP while
     // the checker validates against the true reference timing.
-    dram::TimingParams corrupted;
+    dram::TimingParams corrupted = test::TestTiming();
     corrupted.tRP = 2;
     test::ControllerHarness harness(
         MakeScheduler(SchedulerConfig{}), 2,

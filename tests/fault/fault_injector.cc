@@ -1,118 +1,54 @@
-#include "sim/fault_injector.hh"
+#include "fault/fault_injector.hh"
 
+#include <algorithm>
 #include <iterator>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "common/assert.hh"
-#include "dram/protocol_checker.hh"
 #include "mem/controller.hh"
 #include "mem/ras.hh"
 #include "mem/watchdog.hh"
-#include "sched/factory.hh"
+#include "oracle/reference_system.hh"
+#include "oracle/scan_checked.hh"
 #include "sim/config.hh"
 #include "sim/system.hh"
+#include "test_util.hh"
 #include "trace/file_trace.hh"
 #include "trace/synthetic.hh"
-
-#include <sstream>
 
 namespace parbs {
 namespace {
 
-/** Geometry used by the controller-level scenarios. */
-dram::Geometry
-ScenarioGeometry()
-{
-    dram::Geometry geometry;
-    geometry.channels = 1;
-    geometry.ranks_per_channel = 1;
-    geometry.banks_per_rank = 8;
-    geometry.rows_per_bank = 1024;
-    geometry.row_bytes = 2048;
-    geometry.line_bytes = 64;
-    return geometry;
-}
+using test::ControllerHarness;
 
-/** Drives one Controller directly with hand-built requests. */
-class Driver {
-  public:
-    Driver(const ControllerConfig& config, const dram::TimingParams& timing,
-           std::uint32_t num_threads, std::unique_ptr<Scheduler> scheduler)
-        : controller_(config, timing, ScenarioGeometry(), num_threads,
-                      std::move(scheduler))
+/** Cycles a scenario waits for its buffers to drain (RunUntilIdle). */
+constexpr std::uint64_t kDrainBound = 50000;
+
+/**
+ * A scenario's oracle::CheckedHarness.  When it goes out of scope, by
+ * return or by exception, it adds the picks its oracle confirmed to
+ * @p tally.
+ */
+struct TalliedHarness : oracle::CheckedHarness {
+    TalliedHarness(std::unique_ptr<Scheduler> scheduler,
+                   std::uint32_t threads, const ControllerConfig& config,
+                   const dram::TimingParams& timing, std::uint64_t& tally)
+        : CheckedHarness(std::move(scheduler), config, timing, threads),
+          tally(tally)
     {
     }
 
-    void
-    Enqueue(ThreadId thread, std::uint32_t bank, std::uint32_t row,
-            std::uint32_t column = 0, bool is_write = false)
-    {
-        auto request = std::make_unique<MemRequest>();
-        request->id = next_id_++;
-        request->thread = thread;
-        request->coords.channel = 0;
-        request->coords.rank = 0;
-        request->coords.bank = bank;
-        request->coords.row = row;
-        request->coords.column = column;
-        request->is_write = is_write;
-        controller_.Enqueue(std::move(request), now_);
-    }
+    ~TalliedHarness() { tally += oracle->picks_checked(); }
 
-    void
-    Tick(std::uint64_t cycles = 1)
-    {
-        for (std::uint64_t i = 0; i < cycles; ++i) {
-            controller_.Tick(now_);
-            now_ += 1;
-        }
-    }
-
-    /** Runs until all buffered requests retire (or @p max_cycles pass). */
-    void
-    RunUntilIdle(std::uint64_t max_cycles = 50000)
-    {
-        std::uint64_t spent = 0;
-        while ((controller_.pending_reads() > 0 ||
-                controller_.pending_writes() > 0) &&
-               spent < max_cycles) {
-            Tick();
-            spent += 1;
-        }
-    }
-
-    Controller& controller() { return controller_; }
-    const Controller& controller() const { return controller_; }
-    DramCycle now() const { return now_; }
-
-  private:
-    Controller controller_;
-    DramCycle now_ = 0;
-    RequestId next_id_ = 1;
+    std::uint64_t& tally;
 };
 
-ControllerConfig
-ScenarioConfig()
-{
-    ControllerConfig config;
-    config.enable_refresh = false;
-    return config;
-}
-
 std::unique_ptr<Scheduler>
-FrFcfs()
+Make(SchedulerKind kind)
 {
     SchedulerConfig config;
-    config.kind = SchedulerKind::kFrFcfs;
-    return MakeScheduler(config);
-}
-
-std::unique_ptr<Scheduler>
-OptionScheduler(const FaultOptions& options)
-{
-    SchedulerConfig config;
-    config.kind = options.scheduler;
+    config.kind = kind;
     return MakeScheduler(config);
 }
 
@@ -193,7 +129,7 @@ RunBadGeometry(Rng& rng)
 }
 
 void
-RunBadControllerConfig(Rng& rng)
+RunBadControllerConfig(Rng& rng, std::uint64_t& picks)
 {
     ControllerConfig config;
     switch (rng.NextBelow(6)) {
@@ -219,50 +155,46 @@ RunBadControllerConfig(Rng& rng)
         config.Validate();
     } else {
         // The constructor path must reject it the same way.
-        Driver driver(config, dram::TimingParams{}, 2, FrFcfs());
+        TalliedHarness x(Make(SchedulerKind::kFrFcfs), 2, config,
+                         dram::TimingParams{}, picks);
     }
 }
 
 // --- Stress scenarios (must complete cleanly under the checker) ----------
 
+/** Runs @p h until its buffers drain.  The checker throws on its first
+ *  violation, so a stress scenario that drains is clean. */
 void
-RandomTraffic(Driver& driver, Rng& rng, std::uint32_t requests,
-              std::uint32_t num_threads, double write_fraction)
+Drain(ControllerHarness& h)
 {
-    for (std::uint32_t i = 0; i < requests; ++i) {
-        driver.Enqueue(static_cast<ThreadId>(rng.NextBelow(num_threads)),
-                       static_cast<std::uint32_t>(rng.NextBelow(8)),
-                       static_cast<std::uint32_t>(rng.NextBelow(16)),
-                       static_cast<std::uint32_t>(rng.NextBelow(32)),
-                       rng.NextBool(write_fraction));
-        if (rng.NextBool(0.3)) {
-            driver.Tick(rng.NextBelow(12));
-        }
-    }
-    driver.RunUntilIdle();
-}
-
-void
-AssertClean(const Driver& driver)
-{
-    const dram::ProtocolChecker* checker =
-        driver.controller().protocol_checker();
-    if (checker != nullptr && !checker->violations().empty()) {
-        // kRecord-mode leftovers count as a failed defense.
-        throw dram::ProtocolError(
-            checker->FormatViolation(checker->violations().front()));
-    }
-    if (driver.controller().pending_reads() > 0 ||
-        driver.controller().pending_writes() > 0) {
+    h.RunUntilIdle(kDrainBound);
+    if (h.controller().pending_reads() > 0 ||
+        h.controller().pending_writes() > 0) {
         throw WatchdogError("stress scenario failed to drain");
     }
 }
 
 void
-RunRefreshStorm(Rng& rng)
+RandomTraffic(ControllerHarness& h, Rng& rng, std::uint32_t requests,
+              std::uint32_t num_threads, double write_fraction)
+{
+    for (std::uint32_t i = 0; i < requests; ++i) {
+        h.Enqueue(static_cast<ThreadId>(rng.NextBelow(num_threads)),
+                  static_cast<std::uint32_t>(rng.NextBelow(8)),
+                  static_cast<std::uint32_t>(rng.NextBelow(16)),
+                  static_cast<std::uint32_t>(rng.NextBelow(32)),
+                  rng.NextBool(write_fraction));
+        if (rng.NextBool(0.3)) {
+            h.Tick(rng.NextBelow(12));
+        }
+    }
+    Drain(h);
+}
+
+void
+RunRefreshStorm(Rng& rng, std::uint64_t& picks)
 {
     ControllerConfig config;
-    config.enable_refresh = true;
     config.protocol_check = true;
     config.watchdog.enabled = true;
     // Refresh consumes most of the bandwidth here, so legitimate queueing
@@ -273,56 +205,55 @@ RunRefreshStorm(Rng& rng)
     // tighter interval cannot even close a tRAS-bound row between
     // refreshes, so nothing would drain).
     timing.tREFI = timing.tRFC + 80 + rng.NextBelow(60);
-    Driver driver(config, timing, 4, FrFcfs());
-    RandomTraffic(driver, rng, 30, 4, 0.2);
-    AssertClean(driver);
+    TalliedHarness x(Make(SchedulerKind::kFrFcfs), 4, config, timing, picks);
+    RandomTraffic(x.h, rng, 30, 4, 0.2);
 }
 
 void
-RunWritePressure(Rng& rng)
+RunWritePressure(Rng& rng, std::uint64_t& picks)
 {
     ControllerConfig config;
-    config.enable_refresh = false;
     config.protocol_check = true;
     config.watchdog.enabled = true;
     config.write_queue_capacity = 16;
     config.write_drain_high = 12;
     config.write_drain_low = 4;
-    Driver driver(config, dram::TimingParams{}, 4, FrFcfs());
+    TalliedHarness x(Make(SchedulerKind::kFrFcfs), 4, config,
+                     test::TestTiming(), picks);
     for (std::uint32_t burst = 0; burst < 6; ++burst) {
         // Pin the write buffer at capacity to force drain mode.
-        while (driver.controller().CanAcceptWrite()) {
-            driver.Enqueue(static_cast<ThreadId>(rng.NextBelow(4)),
-                           static_cast<std::uint32_t>(rng.NextBelow(8)),
-                           static_cast<std::uint32_t>(rng.NextBelow(16)),
-                           static_cast<std::uint32_t>(rng.NextBelow(32)),
-                           /*is_write=*/true);
+        while (x.h.controller().CanAcceptWrite()) {
+            x.h.Enqueue(static_cast<ThreadId>(rng.NextBelow(4)),
+                        static_cast<std::uint32_t>(rng.NextBelow(8)),
+                        static_cast<std::uint32_t>(rng.NextBelow(16)),
+                        static_cast<std::uint32_t>(rng.NextBelow(32)),
+                        /*is_write=*/true);
         }
-        driver.Enqueue(static_cast<ThreadId>(rng.NextBelow(4)),
-                       static_cast<std::uint32_t>(rng.NextBelow(8)),
-                       static_cast<std::uint32_t>(rng.NextBelow(16)), 0,
-                       /*is_write=*/false);
-        driver.Tick(20 + rng.NextBelow(100));
+        x.h.Enqueue(static_cast<ThreadId>(rng.NextBelow(4)),
+                    static_cast<std::uint32_t>(rng.NextBelow(8)),
+                    static_cast<std::uint32_t>(rng.NextBelow(16)), 0,
+                    /*is_write=*/false);
+        x.h.Tick(20 + rng.NextBelow(100));
     }
-    driver.RunUntilIdle();
-    AssertClean(driver);
+    Drain(x.h);
 }
 
 void
-RunSchedulerChaos(Rng& rng)
+RunSchedulerChaos(Rng& rng, std::uint64_t& picks)
 {
+    dram::TimingParams timing;
+    if (!rng.NextBool(0.5)) {
+        timing.tREFI = 0;
+    }
     ControllerConfig config;
-    config.enable_refresh = rng.NextBool(0.5);
     config.protocol_check = true;
     config.watchdog.enabled = true;
-    SchedulerConfig inner;
-    inner.kind =
-        rng.NextBool(0.5) ? SchedulerKind::kParBs : SchedulerKind::kFrFcfs;
+    auto inner = Make(rng.NextBool(0.5) ? SchedulerKind::kParBs
+                                        : SchedulerKind::kFrFcfs);
     auto chaos = std::make_unique<ChaosScheduler>(
-        MakeScheduler(inner), rng.Next64(), 0.5 + rng.NextDouble() * 0.5);
-    Driver driver(config, dram::TimingParams{}, 4, std::move(chaos));
-    RandomTraffic(driver, rng, 80, 4, 0.3);
-    AssertClean(driver);
+        std::move(inner), rng.Next64(), 0.5 + rng.NextDouble() * 0.5);
+    TalliedHarness x(std::move(chaos), 4, config, timing, picks);
+    RandomTraffic(x.h, rng, 80, 4, 0.3);
 }
 
 // --- Model-fault scenarios (checker / watchdog must fire) ----------------
@@ -339,29 +270,18 @@ class ActFirstScheduler : public Scheduler {
     std::string name() const override { return "act-first"; }
 
     MemRequest*
-    Pick(std::span<const Candidate> candidates, DramCycle now) override
+    Pick(std::span<const Candidate> candidates, DramCycle) override
     {
-        (void)now;
-        const Candidate* best = nullptr;
-        for (const Candidate& candidate : candidates) {
-            if (best == nullptr ||
-                Precedes(candidate, *best)) {
-                best = &candidate;
-            }
-        }
-        return best == nullptr ? nullptr : best->request;
-    }
-
-  private:
-    static bool
-    Precedes(const Candidate& a, const Candidate& b)
-    {
-        const bool a_act = a.next_command == dram::CommandType::kActivate;
-        const bool b_act = b.next_command == dram::CommandType::kActivate;
-        if (a_act != b_act) {
-            return a_act;
-        }
-        return a.request->id < b.request->id;
+        const auto key = [](const Candidate& c) {
+            return std::pair(c.next_command != dram::CommandType::kActivate,
+                             c.request->id);
+        };
+        const auto best = std::min_element(
+            candidates.begin(), candidates.end(),
+            [&](const Candidate& a, const Candidate& b) {
+                return key(a) < key(b);
+            });
+        return best == candidates.end() ? nullptr : best->request;
     }
 };
 
@@ -369,93 +289,93 @@ class ActFirstScheduler : public Scheduler {
 struct Corruption {
     const char* param;
     void (*corrupt)(dram::TimingParams&);
-    void (*drive)(Driver&, Rng&);
+    void (*drive)(ControllerHarness&, Rng&);
     /** Drive with the activate-bunching scheduler instead of FR-FCFS. */
     bool act_first = false;
 };
 
 void
-ConflictChain(Driver& driver, Rng&)
+ConflictChain(ControllerHarness& h, Rng&)
 {
     for (int i = 0; i < 12; ++i) {
-        driver.Enqueue(0, 2, (i % 2) != 0 ? 5 : 9);
+        h.Enqueue(0, 2, (i % 2) != 0 ? 5 : 9);
     }
-    driver.RunUntilIdle();
+    h.RunUntilIdle(kDrainBound);
 }
 
 void
-SequentialConflict(Driver& driver, Rng&)
+SequentialConflict(ControllerHarness& h, Rng&)
 {
     // One request at a time, so FR-FCFS cannot reorder row hits ahead of
     // the conflicting row: the precharge lands right after the read, where
     // a shortened tRAS binds.
     for (std::uint32_t round = 0; round < 4; ++round) {
-        driver.Enqueue(0, 4, 2 * round);
-        driver.Tick(8);
-        driver.Enqueue(0, 4, 2 * round + 1);
-        driver.RunUntilIdle();
+        h.Enqueue(0, 4, 2 * round);
+        h.Tick(8);
+        h.Enqueue(0, 4, 2 * round + 1);
+        h.RunUntilIdle(kDrainBound);
     }
 }
 
 void
-RowHitRunThenConflict(Driver& driver, Rng&)
+RowHitRunThenConflict(ControllerHarness& h, Rng&)
 {
     for (std::uint32_t c = 0; c < 8; ++c) {
-        driver.Enqueue(0, 1, 7, c);
+        h.Enqueue(0, 1, 7, c);
     }
-    driver.Enqueue(0, 1, 8);
-    driver.RunUntilIdle();
+    h.Enqueue(0, 1, 8);
+    h.RunUntilIdle(kDrainBound);
 }
 
 void
-RowHitRun(Driver& driver, Rng&)
+RowHitRun(ControllerHarness& h, Rng&)
 {
     for (std::uint32_t c = 0; c < 10; ++c) {
-        driver.Enqueue(0, 1, 7, c);
+        h.Enqueue(0, 1, 7, c);
     }
-    driver.RunUntilIdle();
+    h.RunUntilIdle(kDrainBound);
 }
 
 void
-ActivateBurst(Driver& driver, Rng&)
+ActivateBurst(ControllerHarness& h, Rng&)
 {
     for (int round = 0; round < 3; ++round) {
         for (std::uint32_t bank = 0; bank < 8; ++bank) {
-            driver.Enqueue(0, bank, 3 + bank + round);
+            h.Enqueue(0, bank, 3 + bank + round);
         }
-        driver.RunUntilIdle();
+        h.RunUntilIdle(kDrainBound);
     }
 }
 
 void
-WriteThenPrecharge(Driver& driver, Rng&)
+WriteThenPrecharge(ControllerHarness& h, Rng&)
 {
     for (int round = 0; round < 4; ++round) {
         for (std::uint32_t c = 0; c < 6; ++c) {
-            driver.Enqueue(0, 3, 10, c, /*is_write=*/true);
+            h.Enqueue(0, 3, 10, c, /*is_write=*/true);
         }
-        driver.RunUntilIdle();
+        h.RunUntilIdle(kDrainBound);
         // The conflicting row forces a precharge right after the last
         // write burst, where tWR binds.
-        driver.Enqueue(0, 3, 11 + round);
-        driver.RunUntilIdle();
+        h.Enqueue(0, 3, 11 + round);
+        h.RunUntilIdle(kDrainBound);
     }
 }
 
 void
-WriteReadTurnaround(Driver& driver, Rng& rng)
+WriteReadTurnaround(ControllerHarness& h, Rng& rng)
 {
     // Open both rows so later accesses are pure column commands.
-    driver.Enqueue(0, 0, 4);
-    driver.Enqueue(0, 1, 6);
-    driver.RunUntilIdle();
+    h.Enqueue(0, 0, 4);
+    h.Enqueue(0, 1, 6);
+    h.RunUntilIdle(kDrainBound);
     for (int phase = 0; phase < 10; ++phase) {
         for (std::uint32_t c = 0; c < 3; ++c) {
-            driver.Enqueue(0, 0, 4, c, /*is_write=*/true);
+            h.Enqueue(0, 0, 4, c, /*is_write=*/true);
         }
-        driver.Tick(1 + rng.NextBelow(8));
-        driver.Enqueue(0, 1, 6, static_cast<std::uint32_t>(phase));
-        driver.RunUntilIdle();
+        h.Tick(1 + rng.NextBelow(8));
+        h.Enqueue(0, 1, 6, static_cast<std::uint32_t>(phase));
+        h.RunUntilIdle(kDrainBound);
     }
 }
 
@@ -485,49 +405,48 @@ struct UncaughtCorruption : std::runtime_error {
 };
 
 void
-RunTimingCorruption(Rng& rng)
+RunTimingCorruption(Rng& rng, std::uint64_t& picks)
 {
     const Corruption& corruption =
         kCorruptions[rng.NextBelow(std::size(kCorruptions))];
-    dram::TimingParams device;   // what the model will (wrongly) enforce
-    dram::TimingParams reference; // what the checker validates against
+    // What the model will (wrongly) enforce, and what the checker
+    // validates against.
+    dram::TimingParams device = test::TestTiming();
+    const dram::TimingParams reference = test::TestTiming();
     corruption.corrupt(device);
     device.Validate(); // the corruption must be plausible, not rejected
-    std::unique_ptr<Scheduler> scheduler =
-        corruption.act_first
-            ? std::unique_ptr<Scheduler>(std::make_unique<ActFirstScheduler>())
-            : FrFcfs();
-    Driver driver(ScenarioConfig(), device, 2, std::move(scheduler));
-    driver.controller().EnableProtocolCheck(reference);
-    corruption.drive(driver, rng);
+    TalliedHarness x(corruption.act_first
+                         ? std::make_unique<ActFirstScheduler>()
+                         : Make(SchedulerKind::kFrFcfs),
+                     2, ControllerConfig{}, device, picks);
+    x.h.controller().EnableProtocolCheck(reference);
+    corruption.drive(x.h, rng);
     // Reaching this point means the corruption escaped the checker.
     throw UncaughtCorruption(corruption.param);
 }
 
 void
-RunServiceWithholding(Rng& rng)
+RunServiceWithholding(Rng& rng, std::uint64_t& picks)
 {
     ControllerConfig config;
-    config.enable_refresh = false;
     config.watchdog.enabled = true;
     config.watchdog.starvation_bound = 1500;
-    auto withholding =
-        std::make_unique<WithholdingScheduler>(FrFcfs(), /*victim=*/0);
-    Driver driver(config, dram::TimingParams{}, 2, std::move(withholding));
+    TalliedHarness x(std::make_unique<WithholdingScheduler>(
+                         Make(SchedulerKind::kFrFcfs), /*victim=*/0),
+                     2, config, test::TestTiming(), picks);
     for (std::uint32_t i = 0; i < 4; ++i) {
-        driver.Enqueue(0, static_cast<std::uint32_t>(rng.NextBelow(8)),
-                       static_cast<std::uint32_t>(rng.NextBelow(16)));
+        x.h.Enqueue(0, static_cast<std::uint32_t>(rng.NextBelow(8)),
+                    static_cast<std::uint32_t>(rng.NextBelow(16)));
     }
     const bool background = rng.NextBool(0.5);
     for (int step = 0; step < 4000; ++step) {
         // With background traffic the starvation bound trips; without it
         // the no-progress bound trips.  Both are WatchdogError.
-        if (background && step % 30 == 0 &&
-            driver.controller().CanAcceptRead()) {
-            driver.Enqueue(1, static_cast<std::uint32_t>(rng.NextBelow(8)),
-                           static_cast<std::uint32_t>(rng.NextBelow(16)));
+        if (background && step % 30 == 0 && x.h.controller().CanAcceptRead()) {
+            x.h.Enqueue(1, static_cast<std::uint32_t>(rng.NextBelow(8)),
+                        static_cast<std::uint32_t>(rng.NextBelow(16)));
         }
-        driver.Tick();
+        x.h.Tick();
     }
 }
 
@@ -545,10 +464,13 @@ struct RasSelfCheckFailure : std::runtime_error {
  * A multi-channel System under a heavy transient ECC error shower: every
  * error must be corrected or recovered by retry, the run must drain
  * cleanly, and (self-check) the error rate is high enough that observing
- * zero ECC events would itself prove the error model broken.
+ * zero ECC events would itself prove the error model broken.  Each
+ * channel's picks run under the scan oracle, and the per-cycle reference
+ * loop must produce the same stats report.
  */
 void
-RunTransientBitErrors(Rng& rng, const FaultOptions& options)
+RunTransientBitErrors(Rng& rng, const FaultOptions& options,
+                      std::uint64_t& picks)
 {
     SystemConfig config = SystemConfig::Baseline(8); // 2 channels
     config.scheduler.kind = options.scheduler;
@@ -568,16 +490,43 @@ RunTransientBitErrors(Rng& rng, const FaultOptions& options)
         config.controller.ras.scrub_interval = 2048 + rng.NextBelow(4096);
     }
 
-    dram::AddressMapper mapper(config.geometry, config.xor_bank_hash);
-    std::vector<std::unique_ptr<TraceSource>> traces;
+    std::vector<std::uint64_t> trace_seeds;
     for (ThreadId t = 0; t < config.num_cores; ++t) {
+        trace_seeds.push_back(rng.Next64());
+    }
+    const dram::AddressMapper mapper(config.geometry, config.xor_bank_hash);
+    const auto traces = [&] {
         SyntheticParams params;
         params.mpki = 25.0;
-        traces.push_back(std::make_unique<SyntheticTraceSource>(
-            params, mapper, t, config.num_cores, rng.Next64()));
+        std::vector<std::unique_ptr<TraceSource>> out;
+        for (ThreadId t = 0; t < config.num_cores; ++t) {
+            out.push_back(std::make_unique<SyntheticTraceSource>(
+                params, mapper, t, config.num_cores, trace_seeds[t]));
+        }
+        return out;
+    };
+    constexpr CpuCycle kCycles = 150000;
+
+    SystemConfig checked = config;
+    oracle::InstallScanOracle(checked);
+    System system(checked, traces());
+    const std::vector<oracle::ScanChecked*> oracles =
+        oracle::BindScanOracles(system);
+    system.Run(kCycles);
+    for (const oracle::ScanChecked* oracle : oracles) {
+        picks += oracle->picks_checked();
     }
-    System system(config, std::move(traces));
-    system.Run(150000);
+
+    oracle::ReferenceSystem reference(config, traces());
+    reference.Run(kCycles);
+    std::ostringstream expected;
+    std::ostringstream actual;
+    reference.DumpStats(expected);
+    system.DumpStats(actual);
+    if (expected.str() != actual.str()) {
+        throw std::logic_error("reference oracle: the System's stats report "
+                               "differs from the per-cycle loop's");
+    }
 
     std::uint64_t events = 0;
     for (std::uint32_t channel = 0; channel < config.geometry.channels;
@@ -601,25 +550,25 @@ RunTransientBitErrors(Rng& rng, const FaultOptions& options)
  * retirement surfaces as a structured MachineCheckError.
  */
 void
-RunStuckRowExhaustion(Rng& rng, const FaultOptions& options)
+RunStuckRowExhaustion(Rng& rng, const FaultOptions& options,
+                      std::uint64_t& picks)
 {
-    ControllerConfig config = ScenarioConfig();
+    ControllerConfig config;
     config.ras.enabled = true;
     config.ras.stuck_row_fraction = 1.0;
     config.ras.seed = 1 + rng.NextBelow(1ULL << 32);
     config.ras.retry_budget = 1 + rng.NextBelow(3);
     config.ras.remap_capacity = rng.NextBelow(3);
-    Driver driver(config, dram::TimingParams{}, 2,
-                  OptionScheduler(options));
+    TalliedHarness x(Make(options.scheduler), 2, config, test::TestTiming(),
+                     picks);
     // remap_capacity + 1 distinct rows guarantee exhaustion: each stuck
     // row burns one remap slot after its retry budget runs out.
     const std::uint32_t rows = config.ras.remap_capacity + 1;
     for (std::uint32_t i = 0; i < rows; ++i) {
-        driver.Enqueue(static_cast<ThreadId>(i % 2),
-                       static_cast<std::uint32_t>(rng.NextBelow(8)),
-                       100 + i);
+        x.h.Enqueue(static_cast<ThreadId>(i % 2),
+                    static_cast<std::uint32_t>(rng.NextBelow(8)), 100 + i);
     }
-    driver.RunUntilIdle(200000);
+    x.h.RunUntilIdle(200000);
     throw RasSelfCheckFailure(
         "stuck rows exhausted no remap capacity (machine check expected)");
 }
@@ -631,23 +580,24 @@ RunStuckRowExhaustion(Rng& rng, const FaultOptions& options)
  * scrub reads once the queues drain.
  */
 void
-RunScrubStorm(Rng& rng, const FaultOptions& options)
+RunScrubStorm(Rng& rng, const FaultOptions& options, std::uint64_t& picks)
 {
+    dram::TimingParams timing;
+    if (!rng.NextBool(0.5)) {
+        timing.tREFI = 0;
+    }
     ControllerConfig config;
-    config.enable_refresh = rng.NextBool(0.5);
     config.protocol_check = true;
     config.watchdog.enabled = true;
     config.ras.enabled = true;
     config.ras.seed = 1 + rng.NextBelow(1ULL << 32);
     config.ras.scrub_interval = 1;
     config.ras.scrub_demote_reads = 1 + rng.NextBelow(16);
-    Driver driver(config, dram::TimingParams{}, 4,
-                  OptionScheduler(options));
-    RandomTraffic(driver, rng, 40, 4, 0.25);
+    TalliedHarness x(Make(options.scheduler), 4, config, timing, picks);
+    RandomTraffic(x.h, rng, 40, 4, 0.25);
     // Idle tail: with the queues empty every cycle belongs to the scrub.
-    driver.Tick(2000);
-    AssertClean(driver);
-    const RasEngine* ras = driver.controller().ras();
+    x.h.Tick(2000);
+    const RasEngine* ras = x.h.controller().ras();
     if (ras == nullptr || ras->stats().scrub_reads == 0) {
         throw RasSelfCheckFailure(
             "scrub storm issued no patrol reads during idle cycles");
@@ -731,12 +681,6 @@ FaultInjector::FaultInjector(std::uint64_t master_seed)
 }
 
 FaultOutcome
-FaultInjector::RunScenario(std::uint64_t index)
-{
-    return RunScenario(index, FaultOptions{});
-}
-
-FaultOutcome
 FaultInjector::RunScenario(std::uint64_t index, const FaultOptions& options)
 {
     FaultOutcome outcome;
@@ -744,6 +688,7 @@ FaultInjector::RunScenario(std::uint64_t index, const FaultOptions& options)
     outcome.kind = static_cast<FaultKind>(index % kNumFaultKinds);
     outcome.expected = ExpectedDefense(outcome.kind);
     Rng rng(master_seed_ + 0x9e3779b97f4a7c15ULL * (index + 1));
+    std::uint64_t& picks = outcome.picks_checked;
     try {
         switch (outcome.kind) {
         case FaultKind::kMalformedTrace: RunMalformedTrace(rng); break;
@@ -751,22 +696,26 @@ FaultInjector::RunScenario(std::uint64_t index, const FaultOptions& options)
         case FaultKind::kBadTiming: RunBadTiming(rng); break;
         case FaultKind::kBadGeometry: RunBadGeometry(rng); break;
         case FaultKind::kBadControllerConfig:
-            RunBadControllerConfig(rng);
+            RunBadControllerConfig(rng, picks);
             break;
-        case FaultKind::kRefreshStorm: RunRefreshStorm(rng); break;
-        case FaultKind::kWritePressure: RunWritePressure(rng); break;
-        case FaultKind::kSchedulerChaos: RunSchedulerChaos(rng); break;
-        case FaultKind::kTimingCorruption: RunTimingCorruption(rng); break;
+        case FaultKind::kRefreshStorm: RunRefreshStorm(rng, picks); break;
+        case FaultKind::kWritePressure: RunWritePressure(rng, picks); break;
+        case FaultKind::kSchedulerChaos: RunSchedulerChaos(rng, picks); break;
+        case FaultKind::kTimingCorruption:
+            RunTimingCorruption(rng, picks);
+            break;
         case FaultKind::kServiceWithholding:
-            RunServiceWithholding(rng);
+            RunServiceWithholding(rng, picks);
             break;
         case FaultKind::kTransientBitErrors:
-            RunTransientBitErrors(rng, options);
+            RunTransientBitErrors(rng, options, picks);
             break;
         case FaultKind::kStuckRow:
-            RunStuckRowExhaustion(rng, options);
+            RunStuckRowExhaustion(rng, options, picks);
             break;
-        case FaultKind::kScrubStorm: RunScrubStorm(rng, options); break;
+        case FaultKind::kScrubStorm:
+            RunScrubStorm(rng, options, picks);
+            break;
         }
         outcome.observed = Defense::kNone;
     } catch (const ConfigError& error) {
@@ -782,6 +731,7 @@ FaultInjector::RunScenario(std::uint64_t index, const FaultOptions& options)
         outcome.observed = Defense::kMachineCheck;
         outcome.detail = FirstLine(error.what());
     } catch (const std::exception& error) {
+        // Includes the oracles' disagreements.
         outcome.observed = Defense::kOther;
         outcome.detail = FirstLine(error.what());
     }
@@ -792,22 +742,14 @@ FaultInjector::RunScenario(std::uint64_t index, const FaultOptions& options)
 
 ChaosScheduler::ChaosScheduler(std::unique_ptr<Scheduler> inner,
                                std::uint64_t seed, double chaos)
-    : inner_(std::move(inner)), rng_(seed), chaos_(chaos)
+    : ForwardingScheduler(std::move(inner)), rng_(seed), chaos_(chaos)
 {
-    PARBS_ASSERT(inner_ != nullptr, "chaos scheduler needs an inner one");
 }
 
 std::string
 ChaosScheduler::name() const
 {
-    return "chaos(" + inner_->name() + ")";
-}
-
-void
-ChaosScheduler::Attach(const SchedulerContext& context)
-{
-    Scheduler::Attach(context);
-    inner_->Attach(context);
+    return "chaos(" + inner().name() + ")";
 }
 
 MemRequest*
@@ -816,61 +758,21 @@ ChaosScheduler::Pick(std::span<const Candidate> candidates, DramCycle now)
     if (!candidates.empty() && rng_.NextBool(chaos_)) {
         return candidates[rng_.NextBelow(candidates.size())].request;
     }
-    return inner_->Pick(candidates, now);
-}
-
-void
-ChaosScheduler::OnRequestQueued(MemRequest& request, DramCycle now)
-{
-    inner_->OnRequestQueued(request, now);
-}
-
-void
-ChaosScheduler::OnCommandIssued(const MemRequest& request,
-                                const dram::Command& command, DramCycle now)
-{
-    inner_->OnCommandIssued(request, command, now);
-}
-
-void
-ChaosScheduler::OnRequestComplete(const MemRequest& request, DramCycle now)
-{
-    inner_->OnRequestComplete(request, now);
-}
-
-void
-ChaosScheduler::OnDramCycle(DramCycle now)
-{
-    inner_->OnDramCycle(now);
-}
-
-std::uint64_t
-ChaosScheduler::BatchOutstanding() const
-{
-    return inner_->BatchOutstanding();
+    return Inner().Pick(candidates, now);
 }
 
 // --- WithholdingScheduler ------------------------------------------------
 
 WithholdingScheduler::WithholdingScheduler(std::unique_ptr<Scheduler> inner,
                                            ThreadId victim)
-    : inner_(std::move(inner)), victim_(victim)
+    : ForwardingScheduler(std::move(inner)), victim_(victim)
 {
-    PARBS_ASSERT(inner_ != nullptr,
-                 "withholding scheduler needs an inner one");
 }
 
 std::string
 WithholdingScheduler::name() const
 {
-    return "withholding(" + inner_->name() + ")";
-}
-
-void
-WithholdingScheduler::Attach(const SchedulerContext& context)
-{
-    Scheduler::Attach(context);
-    inner_->Attach(context);
+    return "withholding(" + inner().name() + ")";
 }
 
 MemRequest*
@@ -886,40 +788,7 @@ WithholdingScheduler::Pick(std::span<const Candidate> candidates,
     if (filtered_.empty()) {
         return nullptr;
     }
-    return inner_->Pick(filtered_, now);
-}
-
-void
-WithholdingScheduler::OnRequestQueued(MemRequest& request, DramCycle now)
-{
-    inner_->OnRequestQueued(request, now);
-}
-
-void
-WithholdingScheduler::OnCommandIssued(const MemRequest& request,
-                                      const dram::Command& command,
-                                      DramCycle now)
-{
-    inner_->OnCommandIssued(request, command, now);
-}
-
-void
-WithholdingScheduler::OnRequestComplete(const MemRequest& request,
-                                        DramCycle now)
-{
-    inner_->OnRequestComplete(request, now);
-}
-
-void
-WithholdingScheduler::OnDramCycle(DramCycle now)
-{
-    inner_->OnDramCycle(now);
-}
-
-std::uint64_t
-WithholdingScheduler::BatchOutstanding() const
-{
-    return inner_->BatchOutstanding();
+    return Inner().Pick(filtered_, now);
 }
 
 } // namespace parbs

@@ -1,10 +1,11 @@
 /**
  * @file
- * Deterministic fault-injection harness.
+ * Deterministic fault-injection harness (test support, not part of the
+ * library).
  *
  * Robustness claims need adversarial evidence: the harness replays seeded
  * fault scenarios against the simulator and classifies how each one was
- * defended.  Three scenario families:
+ * defended.  Four scenario families:
  *
  *  - User faults (malformed traces, out-of-range addresses, impossible
  *    timing/geometry/controller configurations) must raise ConfigError —
@@ -20,22 +21,29 @@
  *    table and surface as a structured MachineCheckError — never an abort,
  *    never a hang.
  *
+ * Every scenario runs under the oracles (tests/oracle/): each scheduler
+ * is wrapped in the scan oracle, and the System-level family must also
+ * match ReferenceSystem's stats report byte for byte.  A disagreement is
+ * a failed defense (kOther) carrying the oracle's message, so a selection
+ * bug is reported at its scenario index.
+ *
  * Every scenario derives its randomness from (master seed, scenario index),
  * so a failing index reproduces exactly.  tools/fault_fuzz.cpp drives the
  * harness from the command line; tests/sim/fault_injection_test.cc asserts
  * the expected defense for every scenario family.
  */
 
-#ifndef PARBS_SIM_FAULT_INJECTOR_HH
-#define PARBS_SIM_FAULT_INJECTOR_HH
+#ifndef PARBS_TESTS_FAULT_FAULT_INJECTOR_HH
+#define PARBS_TESTS_FAULT_FAULT_INJECTOR_HH
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
+#include "oracle/forwarding_scheduler.hh"
 #include "sched/factory.hh"
-#include "sched/scheduler.hh"
 
 namespace parbs {
 
@@ -68,7 +76,7 @@ enum class Defense : std::uint8_t {
     kProtocolError, ///< Caught by the DRAM protocol checker.
     kWatchdogError, ///< Caught by the forward-progress watchdog.
     kMachineCheck,  ///< Surfaced as a structured MachineCheckError (RAS).
-    kOther,         ///< Unexpected exception type (always a failure).
+    kOther,         ///< Unexpected exception or oracle disagreement.
 };
 
 /** @return a short name, e.g. "config-error". */
@@ -82,6 +90,8 @@ struct FaultOutcome {
     Defense observed = Defense::kNone;
     /** First line of the raised error (empty for clean completions). */
     std::string detail;
+    /** Picks the scan oracle confirmed, up to the end or the failure. */
+    std::uint64_t picks_checked = 0;
 
     bool Passed() const { return observed == expected; }
 };
@@ -104,15 +114,13 @@ class FaultInjector {
     explicit FaultInjector(std::uint64_t master_seed);
 
     /**
-     * Runs scenario @p index (deterministic in (seed, index)); the fault
-     * kind cycles through all families so any contiguous index range covers
-     * every family.  Never aborts: all defenses are catchable exceptions.
+     * Runs scenario @p index (deterministic in (seed, index)) under
+     * @p options; the fault kind cycles through all families so any
+     * contiguous index range covers every family.  Never aborts: all
+     * defenses are catchable exceptions.
      */
-    FaultOutcome RunScenario(std::uint64_t index);
-
-    /** As above, replayed under explicit scheduler / team-size options. */
     FaultOutcome RunScenario(std::uint64_t index,
-                             const FaultOptions& options);
+                             const FaultOptions& options = {});
 
     /** The defense a given fault kind is required to trigger. */
     static Defense ExpectedDefense(FaultKind kind);
@@ -127,30 +135,20 @@ class FaultInjector {
  * offers timing-ready candidates, *no* decision sequence may break the DRAM
  * protocol — the chaos scenarios prove that under the protocol checker.
  */
-class ChaosScheduler : public Scheduler {
+class ChaosScheduler : public test::ForwardingScheduler {
   public:
     ChaosScheduler(std::unique_ptr<Scheduler> inner, std::uint64_t seed,
                    double chaos = 0.5);
 
     std::string name() const override;
-    void Attach(const SchedulerContext& context) override;
     MemRequest* Pick(std::span<const Candidate> candidates,
                      DramCycle now) override;
     /** Pick() draws from the RNG, so re-running selection over the same
      *  candidates changes the decision stream: a selection cross-check
      *  must not replay picks under chaos. */
     bool DeterministicPick() const override { return false; }
-    void OnRequestQueued(MemRequest& request, DramCycle now) override;
-    void OnCommandIssued(const MemRequest& request,
-                         const dram::Command& command,
-                         DramCycle now) override;
-    void OnRequestComplete(const MemRequest& request,
-                           DramCycle now) override;
-    void OnDramCycle(DramCycle now) override;
-    std::uint64_t BatchOutstanding() const override;
 
   private:
-    std::unique_ptr<Scheduler> inner_;
     Rng rng_;
     double chaos_;
 };
@@ -159,29 +157,19 @@ class ChaosScheduler : public Scheduler {
  * Wraps a scheduler but never services the victim thread's requests — a
  * seeded starvation bug the forward-progress watchdog must catch.
  */
-class WithholdingScheduler : public Scheduler {
+class WithholdingScheduler : public test::ForwardingScheduler {
   public:
     WithholdingScheduler(std::unique_ptr<Scheduler> inner, ThreadId victim);
 
     std::string name() const override;
-    void Attach(const SchedulerContext& context) override;
     MemRequest* Pick(std::span<const Candidate> candidates,
                      DramCycle now) override;
-    void OnRequestQueued(MemRequest& request, DramCycle now) override;
-    void OnCommandIssued(const MemRequest& request,
-                         const dram::Command& command,
-                         DramCycle now) override;
-    void OnRequestComplete(const MemRequest& request,
-                           DramCycle now) override;
-    void OnDramCycle(DramCycle now) override;
-    std::uint64_t BatchOutstanding() const override;
 
   private:
-    std::unique_ptr<Scheduler> inner_;
     ThreadId victim_;
     std::vector<Candidate> filtered_;
 };
 
 } // namespace parbs
 
-#endif // PARBS_SIM_FAULT_INJECTOR_HH
+#endif // PARBS_TESTS_FAULT_FAULT_INJECTOR_HH

@@ -270,7 +270,6 @@ TEST(Controller, CommandCountsAreConsistent)
 TEST(Controller, RefreshIsPerformedAndBlocksTraffic)
 {
     ControllerConfig config;
-    config.enable_refresh = true;
     dram::TimingParams timing = test::TestTiming();
     timing.tREFI = 200; // Short interval so the test sees refreshes.
     ControllerHarness h(std::make_unique<FrFcfsScheduler>(), 4, config,
@@ -289,7 +288,6 @@ TEST(Controller, RefreshIsPerformedAndBlocksTraffic)
 TEST(Controller, RefreshClosesOpenRows)
 {
     ControllerConfig config;
-    config.enable_refresh = true;
     dram::TimingParams timing = test::TestTiming();
     timing.tREFI = 100;
     ControllerHarness h(std::make_unique<FrFcfsScheduler>(), 4, config,

@@ -7,11 +7,11 @@
 #include <string>
 
 #include "common/assert.hh"
+#include "fault/fault_injector.hh"
 #include "mem/watchdog.hh"
 #include "obs/latency.hh"
 #include "obs/tracer.hh"
 #include "sched/factory.hh"
-#include "sim/fault_injector.hh"
 #include "test_util.hh"
 
 namespace parbs {

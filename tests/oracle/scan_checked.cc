@@ -12,9 +12,8 @@ namespace parbs::oracle {
 
 ScanChecked::ScanChecked(std::unique_ptr<Scheduler> inner,
                          const ControllerConfig& config)
-    : inner_(std::move(inner)), config_(config)
+    : ForwardingScheduler(std::move(inner)), config_(config)
 {
-    PARBS_ASSERT(inner_ != nullptr, "scan oracle needs a scheduler to wrap");
 }
 
 void
@@ -23,67 +22,15 @@ ScanChecked::Attach(const SchedulerContext& context)
     PARBS_ASSERT(context.write_queue != nullptr &&
                      context.channel != nullptr && context.timing != nullptr,
                  "scan oracle needs both queues, the channel and timing");
-    // The base keeps its own knob vectors so SetThreadPriority/Weight on
-    // this wrapper work; the wrapped scheduler does the real attaching.
-    Scheduler::Attach(context);
-    inner_->Attach(context);
+    ForwardingScheduler::Attach(context);
     per_bank_.assign(context.NumBanks(), {});
-}
-
-Scheduler&
-ScanChecked::Inner()
-{
-    if (inner_->observer() != observer_) {
-        inner_->SetObserver(observer_);
-    }
-    return *inner_;
-}
-
-MemRequest*
-ScanChecked::Pick(std::span<const Candidate> candidates, DramCycle now)
-{
-    return Inner().Pick(candidates, now);
-}
-
-MemRequest*
-ScanChecked::PickInBank(const RequestQueue& queue, std::uint32_t bank,
-                        DramCycle now)
-{
-    return Inner().PickInBank(queue, bank, now);
-}
-
-void
-ScanChecked::OnRequestQueued(MemRequest& request, DramCycle now)
-{
-    Inner().OnRequestQueued(request, now);
-}
-
-void
-ScanChecked::OnRequestComplete(const MemRequest& request, DramCycle now)
-{
-    Inner().OnRequestComplete(request, now);
-}
-
-void
-ScanChecked::OnSchedulingKnobChanged()
-{
-    inner_->SetObserver(nullptr);
-    for (ThreadId t = 0; t < priorities_.size(); ++t) {
-        if (inner_->thread_priority(t) != priorities_[t]) {
-            inner_->SetThreadPriority(t, priorities_[t]);
-        }
-        if (inner_->thread_weight(t) != weights_[t]) {
-            inner_->SetThreadWeight(t, weights_[t]);
-        }
-    }
-    inner_->SetObserver(observer_);
 }
 
 void
 ScanChecked::OnDramCycle(DramCycle now)
 {
-    Inner().OnDramCycle(now);
-    if (!inner_->DeterministicPick()) {
+    ForwardingScheduler::OnDramCycle(now);
+    if (!DeterministicPick()) {
         return;
     }
     if (config_.ras.enabled && bound_ == nullptr) {
@@ -131,7 +78,7 @@ void
 ScanChecked::OnCommandIssued(const MemRequest& request,
                              const dram::Command& command, DramCycle now)
 {
-    if (inner_->DeterministicPick()) {
+    if (DeterministicPick()) {
         if (now != expected_cycle_ || &request != expected_) {
             Fail("issued request " + std::to_string(request.id) +
                      " but the exhaustive scan picks " +
@@ -142,13 +89,13 @@ ScanChecked::OnCommandIssued(const MemRequest& request,
         }
         expected_ = nullptr;
     }
-    Inner().OnCommandIssued(request, command, now);
+    ForwardingScheduler::OnCommandIssued(request, command, now);
 }
 
 bool
 ScanChecked::RefreshTakesCycle(DramCycle now) const
 {
-    if (!config_.enable_refresh || context_.timing->tREFI == 0) {
+    if (context_.timing->tREFI == 0) {
         return false;
     }
     const dram::Channel& channel = *context_.channel;
@@ -177,8 +124,7 @@ ScanChecked::Scan(const RequestQueue& queue, DramCycle now)
         return nullptr;
     }
     const dram::Channel& channel = *context_.channel;
-    const bool refresh_active =
-        config_.enable_refresh && context_.timing->tREFI != 0;
+    const bool refresh_active = context_.timing->tREFI != 0;
     const RasEngine* ras = bound_ != nullptr ? bound_->ras() : nullptr;
 
     // Level 1: group the queued requests by bank, in buffer order.
@@ -219,7 +165,7 @@ ScanChecked::Scan(const RequestQueue& queue, DramCycle now)
         if (bank_candidates.empty()) {
             continue;
         }
-        MemRequest* winner = inner_->Pick(bank_candidates, now);
+        MemRequest* winner = Inner().Pick(bank_candidates, now);
         if (winner == nullptr) {
             continue;
         }
@@ -241,14 +187,14 @@ ScanChecked::Scan(const RequestQueue& queue, DramCycle now)
     if (finalists_.empty()) {
         return nullptr;
     }
-    return inner_->Pick(finalists_, now);
+    return Inner().Pick(finalists_, now);
 }
 
 void
 ScanChecked::Fail(const std::string& what, DramCycle now) const
 {
     std::ostringstream message;
-    message << "scan oracle: " << inner_->name() << " at DRAM cycle " << now
+    message << "scan oracle: " << name() << " at DRAM cycle " << now
             << ": the controller " << what;
     throw SelectionMismatch(message.str());
 }

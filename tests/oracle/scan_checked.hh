@@ -16,10 +16,11 @@
  * OnCommandIssued for any other request, on any other cycle, or a
  * predicted pick that never issues, throws SelectionMismatch.
  *
- * Everything else forwards to the wrapped scheduler, including its
- * observer and its knob changes, so stats, engine counters and traces are
- * the same with or without the oracle.  Schedulers whose Pick() is not
- * deterministic (DeterministicPick() == false) are forwarded unchecked.
+ * Everything else forwards to the wrapped scheduler (ForwardingScheduler),
+ * including its observer, its knob changes and its memoized PickInBank,
+ * so stats, engine counters and traces are the same with or without the
+ * oracle.  Schedulers whose Pick() is not deterministic
+ * (DeterministicPick() == false) are forwarded unchecked.
  */
 
 #ifndef PARBS_TESTS_ORACLE_SCAN_CHECKED_HH
@@ -33,7 +34,8 @@
 #include <vector>
 
 #include "mem/controller.hh"
-#include "sched/scheduler.hh"
+#include "oracle/forwarding_scheduler.hh"
+#include "test_util.hh"
 
 namespace parbs {
 class System;
@@ -48,10 +50,10 @@ class SelectionMismatch : public std::logic_error {
     using std::logic_error::logic_error;
 };
 
-class ScanChecked final : public Scheduler {
+class ScanChecked final : public test::ForwardingScheduler {
   public:
-    /** @p config supplies the refresh switch, the write-drain watermarks
-     *  and whether RAS is on; it must match the checked controller's. */
+    /** @p config supplies the write-drain watermarks and whether RAS is
+     *  on; it must match the checked controller's. */
     ScanChecked(std::unique_ptr<Scheduler> inner,
                 const ControllerConfig& config);
 
@@ -66,45 +68,21 @@ class ScanChecked final : public Scheduler {
     /** Predicted cycles that issue a request, each one confirmed. */
     std::uint64_t picks_checked() const { return picks_checked_; }
 
-    std::string name() const override { return inner_->name(); }
     void Attach(const SchedulerContext& context) override;
-    MemRequest* Pick(std::span<const Candidate> candidates,
-                     DramCycle now) override;
-    MemRequest* PickInBank(const RequestQueue& queue, std::uint32_t bank,
-                           DramCycle now) override;
-    bool DeterministicPick() const override
+    /** The wrapped scheduler's own per-bank path, memo included: it is
+     *  the path under check. */
+    MemRequest*
+    PickInBank(const RequestQueue& queue, std::uint32_t bank,
+               DramCycle now) override
     {
-        return inner_->DeterministicPick();
+        return Inner().PickInBank(queue, bank, now);
     }
-    void OnRequestQueued(MemRequest& request, DramCycle now) override;
     void OnCommandIssued(const MemRequest& request,
                          const dram::Command& command,
                          DramCycle now) override;
-    void OnRequestComplete(const MemRequest& request,
-                           DramCycle now) override;
     void OnDramCycle(DramCycle now) override;
-    std::vector<std::pair<std::string, double>> Stats() const override
-    {
-        return inner_->Stats();
-    }
-    std::uint64_t BatchOutstanding() const override
-    {
-        return inner_->BatchOutstanding();
-    }
-    PickMemoCounters MemoCounters() const override
-    {
-        return inner_->MemoCounters();
-    }
-
-  protected:
-    /** Forwards the knob that changed; the base already told the
-     *  observer, so the wrapped scheduler applies it silently. */
-    void OnSchedulingKnobChanged() override;
 
   private:
-    /** The wrapped scheduler, with this wrapper's observer installed. */
-    Scheduler& Inner();
-
     /** HandleRefresh's decision: an overdue refresh issues a REF or a
      *  quiescing PRE this cycle. */
     bool RefreshTakesCycle(DramCycle now) const;
@@ -114,7 +92,6 @@ class ScanChecked final : public Scheduler {
 
     [[noreturn]] void Fail(const std::string& what, DramCycle now) const;
 
-    std::unique_ptr<Scheduler> inner_;
     ControllerConfig config_;
     const Controller* bound_ = nullptr;
 
@@ -130,6 +107,27 @@ class ScanChecked final : public Scheduler {
 
     std::vector<std::vector<Candidate>> per_bank_;
     std::vector<Candidate> finalists_;
+};
+
+/** A test::ControllerHarness whose scheduler is wrapped in the scan
+ *  oracle, bound to the harness's controller. */
+struct CheckedHarness {
+    explicit CheckedHarness(
+        std::unique_ptr<Scheduler> scheduler,
+        ControllerConfig config = test::ControllerHarness::DefaultConfig(),
+        dram::TimingParams timing = test::TestTiming(),
+        std::uint32_t threads = 4,
+        dram::Geometry geometry = test::TestGeometry())
+        : owned(std::make_unique<ScanChecked>(std::move(scheduler), config)),
+          oracle(owned.get()),
+          h(std::move(owned), threads, config, timing, geometry)
+    {
+        oracle->Bind(h.controller());
+    }
+
+    std::unique_ptr<ScanChecked> owned;
+    ScanChecked* oracle;
+    test::ControllerHarness h;
 };
 
 /**

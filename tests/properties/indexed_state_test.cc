@@ -16,16 +16,17 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "fault/fault_injector.hh"
 #include "mem/request_queue.hh"
 #include "oracle/scan_checked.hh"
 #include "sched/factory.hh"
 #include "sched/frfcfs.hh"
-#include "sim/fault_injector.hh"
 #include "test_util.hh"
 
 namespace parbs {
 namespace {
 
+using oracle::CheckedHarness;
 using test::ControllerHarness;
 
 // Same per-scenario seed derivation as the fault-injection harness, so a
@@ -191,27 +192,6 @@ ConfigFor(SchedulerKind kind)
     return config;
 }
 
-/** A ControllerHarness whose scheduler is wrapped in the scan oracle. */
-struct CheckedHarness {
-    explicit CheckedHarness(
-        std::unique_ptr<Scheduler> scheduler,
-        ControllerConfig config = ControllerHarness::DefaultConfig(),
-        dram::TimingParams timing = test::TestTiming(),
-        std::uint32_t threads = kThreads,
-        dram::Geometry geometry = test::TestGeometry())
-        : owned(std::make_unique<oracle::ScanChecked>(std::move(scheduler),
-                                                      config)),
-          oracle(owned.get()),
-          h(std::move(owned), threads, config, timing, geometry)
-    {
-        oracle->Bind(h.controller());
-    }
-
-    std::unique_ptr<oracle::ScanChecked> owned;
-    oracle::ScanChecked* oracle;
-    ControllerHarness h;
-};
-
 /** Random reads and 20% writes over 8 banks x 16 rows, then drain. */
 void
 DriveRandomTraffic(ControllerHarness& h, std::uint64_t seed)
@@ -249,7 +229,6 @@ TEST_P(IndexedSelectionExactness, IndexedMatchesFullScanEndToEnd)
     // refresh cycles and refresh-blocked ranks), and a small write buffer
     // with tight watermarks so the drain-first hysteresis flips many times.
     ControllerConfig config = ControllerHarness::DefaultConfig();
-    config.enable_refresh = true;
     config.write_queue_capacity = 16;
     config.write_drain_high = 12;
     config.write_drain_low = 4;
@@ -306,7 +285,6 @@ TEST_P(IndexedSelectionExactness, WideGeometryMatchesFullScan)
     geometry.banks_per_rank = 64;
     constexpr std::uint32_t kWideThreads = 80;
     ControllerConfig config = ControllerHarness::DefaultConfig();
-    config.enable_refresh = true;
     config.write_queue_capacity = 16;
     config.write_drain_high = 12;
     config.write_drain_low = 4;

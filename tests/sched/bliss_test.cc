@@ -28,10 +28,11 @@ struct BlissHarness {
     explicit BlissHarness(const BlissConfig& config = {},
                           std::uint32_t num_threads = 4,
                           ControllerConfig controller =
-                              ControllerHarness::DefaultConfig())
+                              ControllerHarness::DefaultConfig(),
+                          dram::TimingParams timing = test::TestTiming())
         : owned(std::make_unique<BlissScheduler>(config)),
           bliss(owned.get()),
-          h(std::move(owned), num_threads, controller)
+          h(std::move(owned), num_threads, controller, timing)
     {
     }
 
@@ -154,9 +155,8 @@ TEST(Bliss, AdversarialStreamerCannotStarveALightThread)
     // interval clears must keep re-penalizing the streamer.
     // Refresh on: a 30000-cycle run crosses the tREFI deadline and the
     // protocol checker (rightly) demands the refreshes happen.
-    ControllerConfig controller = ControllerHarness::DefaultConfig();
-    controller.enable_refresh = true;
-    BlissHarness x(BlissConfig{}, 2, controller);
+    BlissHarness x(BlissConfig{}, 2, ControllerHarness::DefaultConfig(),
+                   dram::TimingParams{});
     Rng rng(0xB1155);
     std::uint32_t column = 0;
     std::uint64_t light_enqueued = 0;
@@ -199,12 +199,8 @@ TEST(Bliss, MemoizedPicksCrossCheckAcrossBlacklistTransitions)
     // soundness).
     auto owned = std::make_unique<BlissScheduler>(BlissConfig{4, 500});
     BlissScheduler* bliss = owned.get();
-    const ControllerConfig config = ControllerHarness::DefaultConfig();
-    auto checked =
-        std::make_unique<oracle::ScanChecked>(std::move(owned), config);
-    oracle::ScanChecked* oracle = checked.get();
-    ControllerHarness h(std::move(checked), 4, config);
-    oracle->Bind(h.controller());
+    oracle::CheckedHarness x(std::move(owned));
+    ControllerHarness& h = x.h;
     Rng rng(0xB1155EED);
     for (int round = 0; round < 3000; ++round) {
         if (h.controller().pending_reads() < 100 &&
@@ -222,7 +218,7 @@ TEST(Bliss, MemoizedPicksCrossCheckAcrossBlacklistTransitions)
     h.RunUntilIdle(200000);
     EXPECT_EQ(h.controller().pending_reads(), 0u);
     EXPECT_EQ(h.controller().pending_writes(), 0u);
-    EXPECT_EQ(oracle->cycles_checked(), h.now());
+    EXPECT_EQ(x.oracle->cycles_checked(), h.now());
     EXPECT_GE(bliss->Stats()[0].second, 1.0); // blacklist_events
     EXPECT_GE(bliss->Stats()[1].second, 1.0); // blacklist_clearings
 }

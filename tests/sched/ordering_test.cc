@@ -143,7 +143,6 @@ TEST(TwoLevelSelection, WritesServicedOnlyWhenNoReadInTheirBankPool)
 TEST(TwoLevelSelection, RefreshPendingRankRejectsNewWork)
 {
     ControllerConfig config;
-    config.enable_refresh = true;
     dram::TimingParams timing = test::TestTiming();
     timing.tREFI = 60; // Short, but still longer than tRFC (51).
     ControllerHarness h(std::make_unique<FrFcfsScheduler>(), 2, config,

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fault/fault_injector.hh"
 #include "sched/factory.hh"
-#include "sim/fault_injector.hh"
+#include "sim/system.hh"
+#include "trace/synthetic.hh"
 
 namespace parbs {
 namespace {
@@ -123,6 +127,59 @@ TEST(FaultInjector, UserFaultDetailNamesTheProblem)
     ASSERT_EQ(outcome.observed, Defense::kConfigError);
     EXPECT_NE(outcome.detail.find("trace"), std::string::npos)
         << outcome.detail;
+}
+
+TEST(FaultWrappers, ChaosAtZeroIsTransparent)
+{
+    // A chaos wrapper that never overrides a pick must be invisible: the
+    // thread priorities reach the wrapped PAR-BS, and Stats() is the
+    // wrapped scheduler's.  The priorities change a bare PAR-BS run, so a
+    // wrapper that dropped them would differ.  Pick-memo counts are left
+    // out: the wrapper's per-bank path walks the chains through its own
+    // Pick(), not through the wrapped scheduler's memo.
+    const auto run = [](bool wrap, bool prioritize) {
+        SystemConfig config = SystemConfig::Baseline(4);
+        config.scheduler.kind = SchedulerKind::kParBs;
+        if (wrap) {
+            config.scheduler_factory = [scheduler = config.scheduler] {
+                return std::make_unique<ChaosScheduler>(
+                    MakeScheduler(scheduler), 7, 0.0);
+            };
+        }
+        const dram::AddressMapper mapper(config.geometry,
+                                         config.xor_bank_hash);
+        std::vector<std::unique_ptr<TraceSource>> traces;
+        for (ThreadId t = 0; t < 4; ++t) {
+            SyntheticParams params;
+            params.mpki = 25.0;
+            traces.push_back(std::make_unique<SyntheticTraceSource>(
+                params, mapper, t, 4, 1000 + t));
+        }
+        System system(config, std::move(traces));
+        if (prioritize) {
+            system.SetThreadPriority(0, 2);
+            system.SetThreadPriority(3, kOpportunisticPriority);
+        }
+        system.Run(100000);
+        std::ostringstream out;
+        for (ThreadId t = 0; t < 4; ++t) {
+            const ThreadMeasurement m = system.Measure(t);
+            out << "thread " << t << ": mcpi=" << m.mcpi << " ipc=" << m.ipc
+                << " ast=" << m.ast_per_req << " rbh=" << m.row_hit_rate
+                << " blp=" << m.blp << " mpki=" << m.mpki
+                << " worst=" << m.worst_case_latency
+                << " instructions=" << m.instructions
+                << " requests=" << m.requests << "\n";
+        }
+        for (const auto& [key, value] :
+             system.controller(0).scheduler().Stats()) {
+            out << key << "=" << value << "\n";
+        }
+        return out.str();
+    };
+    const std::string bare = run(false, true);
+    ASSERT_NE(run(false, false), bare) << "the priorities change nothing";
+    EXPECT_EQ(run(true, true), bare);
 }
 
 } // namespace

@@ -18,10 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "fault/fault_injector.hh"
 #include "oracle/reference_system.hh"
 #include "sched/factory.hh"
 #include "sim/experiment.hh"
-#include "sim/fault_injector.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"

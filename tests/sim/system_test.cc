@@ -150,6 +150,29 @@ TEST(System, WatchdogSeesProgressThroughLongComputeRuns)
     EXPECT_GT(system.skipped_core_ticks(), 390'000u);
 }
 
+TEST(System, RefreshOffRunsCleanUnderTheProtocolChecker)
+{
+    // timing.tREFI = 0 is the one refresh switch: the controller stops
+    // refreshing and the checker stops demanding refreshes, so a run well
+    // past the checker's nine-postponed-refreshes limit (28,080 DRAM
+    // cycles at the default tREFI) stays clean and matches the oracle.
+    SystemConfig config = SystemConfig::Baseline(4);
+    config.timing.tREFI = 0;
+    config.controller.protocol_check = true;
+    System system(config, SyntheticTraces(config, 4));
+    EXPECT_NO_THROW(system.Run(400'000));
+    EXPECT_EQ(system.controller(0).commands_issued(
+                  dram::CommandType::kRefresh),
+              0u);
+    oracle::ReferenceSystem reference(config, SyntheticTraces(config, 4));
+    reference.Run(400'000);
+    std::ostringstream expected;
+    std::ostringstream actual;
+    reference.DumpStats(expected);
+    system.DumpStats(actual);
+    EXPECT_EQ(expected.str(), actual.str());
+}
+
 TEST(System, TooManyTracesRejected)
 {
     SystemConfig config = SystemConfig::Baseline(4);

@@ -15,11 +15,14 @@
 
 namespace parbs::test {
 
-/** Baseline DDR2-800 timing (the library defaults). */
+/** Baseline DDR2-800 timing (the library defaults) with refresh off:
+ *  most tests want deterministic schedules. */
 inline dram::TimingParams
 TestTiming()
 {
-    return dram::TimingParams{};
+    dram::TimingParams timing;
+    timing.tREFI = 0;
+    return timing;
 }
 
 /** Single-channel, single-rank, 8-bank geometry with small rows. */
@@ -55,7 +58,6 @@ class ControllerHarness {
     }
 
     /**
-     * Refresh off by default: most tests want deterministic schedules.
      * The protocol checker is ON so the entire suite doubles as shadow-model
      * validation — any illegal command issued anywhere throws ProtocolError.
      */
@@ -63,7 +65,6 @@ class ControllerHarness {
     DefaultConfig()
     {
         ControllerConfig config;
-        config.enable_refresh = false;
         config.protocol_check = true;
         return config;
     }

@@ -7,7 +7,6 @@
  *
  *   bench_report --dir bench/out --out BENCH_results.json
  *   bench_report --dir bench/out --check bench/golden [--wall-tolerance 0.2]
- *   bench_report --dir bench/out --prev perf/BENCH_results-pr3.json
  *   bench_report --dir bench/out --summary summary.md
  *   bench_report --dir bench/out --engine
  *   bench_report --trace run.json
@@ -37,17 +36,12 @@
  * clock with a relative tolerance (default +20%) — the perf-regression
  * gate in CI.  Exit status: 0 clean, 1 regression/drift, 2 usage error.
  *
- * With --prev (a previously checked-in aggregate report, see perf/), a
- * per-binary speedup-vs-previous-run line is printed for every benchmark
- * present in both runs — the perf trajectory across PRs.  Informational
- * only: wall clocks from different machines are not gated.
- *
  * The aggregate pass also joins every per-scheduler aggregate (weighted
  * speedup, unfairness) with the table1 "scheduler cost" values into the
  * performance / fairness / hardware-cost Pareto table — the policy
  * shootout the lineup exists for.  --summary PATH additionally writes the
- * Pareto table and the speedup lines as GitHub-flavored markdown (CI
- * appends it to $GITHUB_STEP_SUMMARY).
+ * Pareto table as GitHub-flavored markdown (CI appends it to
+ * $GITHUB_STEP_SUMMARY).
  */
 
 #include <algorithm>
@@ -134,77 +128,6 @@ WallSeconds(const Value& root)
     const Value* env = root.Find("env");
     const Value* wall = env != nullptr ? env->Find("wall_seconds") : nullptr;
     return wall != nullptr ? wall->AsNumber() : 0.0;
-}
-
-/** One matched benchmark of the perf trajectory (--prev). */
-struct SpeedupLine {
-    std::string file;
-    double prev_wall = 0.0;
-    double wall = 0.0;
-};
-
-/**
- * Prints one "speedup" line per benchmark present in both the fresh
- * aggregate @p report and the previous aggregate @p prev (matched by the
- * per-entry "file" name): previous wall, current wall, and the ratio
- * (>1x means this run is faster).  @return the matched lines, for the
- * markdown summary.
- */
-std::vector<SpeedupLine>
-PrintSpeedups(const Value& report, const Value& prev)
-{
-    std::vector<SpeedupLine> lines;
-    const Value* prev_benchmarks = prev.Find("benchmarks");
-    const Value* benchmarks = report.Find("benchmarks");
-    if (prev_benchmarks == nullptr || benchmarks == nullptr) {
-        std::fprintf(stderr,
-                     "bench_report: --prev file has no \"benchmarks\" "
-                     "array; skipping speedups\n");
-        return lines;
-    }
-    double prev_total = 0.0;
-    double total = 0.0;
-    std::size_t matched = 0;
-    for (const Value& entry : benchmarks->items()) {
-        const Value* file = entry.Find("file");
-        if (file == nullptr) {
-            continue;
-        }
-        const Value* prev_entry = nullptr;
-        for (const Value& candidate : prev_benchmarks->items()) {
-            const Value* candidate_file = candidate.Find("file");
-            if (candidate_file != nullptr &&
-                candidate_file->AsString() == file->AsString()) {
-                prev_entry = &candidate;
-                break;
-            }
-        }
-        if (prev_entry == nullptr) {
-            std::fprintf(stderr, "speedup %-28s (new benchmark, no "
-                                 "previous run)\n",
-                         file->AsString().c_str());
-            continue;
-        }
-        const double wall = WallSeconds(entry);
-        const double prev_wall = WallSeconds(*prev_entry);
-        if (wall <= 0.0 || prev_wall <= 0.0) {
-            continue;
-        }
-        matched += 1;
-        total += wall;
-        prev_total += prev_wall;
-        lines.push_back({file->AsString(), prev_wall, wall});
-        std::fprintf(stderr, "speedup %-28s %6.2fs -> %6.2fs  (%.2fx)\n",
-                     file->AsString().c_str(), prev_wall, wall,
-                     prev_wall / wall);
-    }
-    if (matched > 0) {
-        std::fprintf(stderr,
-                     "speedup total (%zu matched)          %6.2fs -> "
-                     "%6.2fs  (%.2fx)\n",
-                     matched, prev_total, total, prev_total / total);
-    }
-    return lines;
 }
 
 /**
@@ -426,13 +349,9 @@ PrintParetoTable(const std::vector<ParetoRow>& rows)
     }
 }
 
-/**
- * Writes the markdown job summary: the Pareto table plus (when --prev
- * matched anything) the per-benchmark wall-clock trajectory.
- */
+/** Writes the markdown job summary: the Pareto table. */
 bool
-WriteSummary(const std::string& path, const std::vector<ParetoRow>& rows,
-             const std::vector<SpeedupLine>& speedups)
+WriteSummary(const std::string& path, const std::vector<ParetoRow>& rows)
 {
     std::ofstream out(path, std::ios::app);
     if (!out) {
@@ -466,27 +385,6 @@ WriteSummary(const std::string& path, const std::vector<ParetoRow>& rows,
         out << line;
     }
     out << "\n";
-    if (!speedups.empty()) {
-        out << "### Wall-clock trajectory vs previous run\n\n";
-        out << "| benchmark | previous | current | speedup |\n";
-        out << "|---|---|---|---|\n";
-        double prev_total = 0.0;
-        double total = 0.0;
-        for (const SpeedupLine& speedup : speedups) {
-            prev_total += speedup.prev_wall;
-            total += speedup.wall;
-            std::snprintf(line, sizeof(line),
-                          "| %s | %.2fs | %.2fs | %.2fx |\n",
-                          speedup.file.c_str(), speedup.prev_wall,
-                          speedup.wall, speedup.prev_wall / speedup.wall);
-            out << line;
-        }
-        std::snprintf(line, sizeof(line),
-                      "| **total** | %.2fs | %.2fs | %.2fx |\n",
-                      prev_total, total, prev_total / total);
-        out << line;
-        out << "\n";
-    }
     std::fprintf(stderr, "bench_report: appended summary to %s\n",
                  path.c_str());
     return true;
@@ -1082,7 +980,6 @@ main(int argc, char** argv)
     std::string dir = "bench/out";
     std::string out_path = "BENCH_results.json";
     std::string golden_dir;
-    std::string prev_path;
     std::string trace_path;
     std::string summary_path;
     double wall_tolerance = 0.20;
@@ -1096,8 +993,6 @@ main(int argc, char** argv)
             out_path = argv[++i];
         } else if (arg == "--check" && i + 1 < argc) {
             golden_dir = argv[++i];
-        } else if (arg == "--prev" && i + 1 < argc) {
-            prev_path = argv[++i];
         } else if (arg == "--trace" && i + 1 < argc) {
             trace_path = argv[++i];
         } else if (arg == "--summary" && i + 1 < argc) {
@@ -1109,9 +1004,8 @@ main(int argc, char** argv)
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(stderr,
                          "usage: %s [--dir DIR] [--out PATH] "
-                         "[--check GOLDEN_DIR] [--prev REPORT] "
-                         "[--summary PATH] [--trace FILE] [--engine] "
-                         "[--wall-tolerance F]\n",
+                         "[--check GOLDEN_DIR] [--summary PATH] "
+                         "[--trace FILE] [--engine] [--wall-tolerance F]\n",
                          argv[0]);
             return 0;
         } else {
@@ -1179,17 +1073,7 @@ main(int argc, char** argv)
         PrintEngineTable(engine_rows, engine_fits);
     }
 
-    std::vector<SpeedupLine> speedups;
-    if (!prev_path.empty()) {
-        Value prev;
-        if (!LoadJson(prev_path, prev)) {
-            return 2;
-        }
-        speedups = PrintSpeedups(report, prev);
-    }
-
-    if (!summary_path.empty() &&
-        !WriteSummary(summary_path, pareto, speedups)) {
+    if (!summary_path.empty() && !WriteSummary(summary_path, pareto)) {
         return 2;
     }
     if (engine && !summary_path.empty() &&
