@@ -23,24 +23,6 @@ Channel::num_ranks() const
     return static_cast<std::uint32_t>(ranks_.size());
 }
 
-DramCycle
-Channel::EarliestIssue(const Command& cmd) const
-{
-    PARBS_ASSERT(cmd.rank < ranks_.size(), "command rank out of range");
-    DramCycle earliest = ranks_[cmd.rank].EarliestIssue(cmd);
-    if (cmd.type == CommandType::kRead || cmd.type == CommandType::kWrite) {
-        const DramCycle latency = (cmd.type == CommandType::kRead)
-                                      ? timing_.tCL
-                                      : timing_.tCWD;
-        // CanIssue blocks while now + latency < bus_free_at_, i.e. the
-        // command becomes bus-ready at bus_free_at_ - latency.
-        if (bus_free_at_ > latency) {
-            earliest = std::max(earliest, bus_free_at_ - latency);
-        }
-    }
-    return earliest;
-}
-
 void
 Channel::EnableProtocolCheck(const TimingParams* reference)
 {

@@ -11,6 +11,7 @@
 #ifndef PARBS_DRAM_CHANNEL_HH
 #define PARBS_DRAM_CHANNEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -91,10 +92,30 @@ class Channel {
      * Earliest cycle @p cmd passes every device and bus constraint,
      * assuming no further command issues on this channel in between: for
      * every t, CanIssue(cmd, t) == (t >= EarliestIssue(cmd)) until the
-     * next Issue().  This is the next-event function the controller's
-     * skip-ahead derives its bounds from.  @pre cmd.type != kRefresh
+     * next Issue(), and Issue() only ever moves it later (every timer
+     * behind it is a running maximum).  The controller's bank prefilter
+     * and skip-ahead bound are built on the first fact
+     * (tests/dram/earliest_issue_test.cc checks both).
+     * @pre cmd.type != kRefresh
      */
-    DramCycle EarliestIssue(const Command& cmd) const;
+    DramCycle
+    EarliestIssue(const Command& cmd) const
+    {
+        PARBS_ASSERT(cmd.rank < ranks_.size(), "command rank out of range");
+        DramCycle earliest = ranks_[cmd.rank].EarliestIssue(cmd);
+        if (cmd.type == CommandType::kRead ||
+            cmd.type == CommandType::kWrite) {
+            const DramCycle latency = (cmd.type == CommandType::kRead)
+                                          ? timing_.tCL
+                                          : timing_.tCWD;
+            // CanIssue blocks while now + latency < bus_free_at_, i.e. the
+            // command becomes bus-ready at bus_free_at_ - latency.
+            if (bus_free_at_ > latency) {
+                earliest = std::max(earliest, bus_free_at_ - latency);
+            }
+        }
+        return earliest;
+    }
 
     /**
      * Issues @p cmd at cycle @p now.

@@ -18,32 +18,6 @@ Rank::Rank(const TimingParams& timing, std::uint32_t num_banks)
     activate_history_.fill(kNeverCycle);
 }
 
-DramCycle
-Rank::EarliestIssue(const Command& cmd) const
-{
-    PARBS_ASSERT(cmd.type != CommandType::kRefresh,
-                 "EarliestIssue is undefined for refresh");
-    DramCycle earliest = banks_[cmd.bank].EarliestIssue(cmd.type);
-    switch (cmd.type) {
-      case CommandType::kActivate: {
-        earliest = std::max(earliest, next_activate_);
-        const DramCycle oldest = activate_history_[activate_history_head_];
-        if (oldest != kNeverCycle) {
-            earliest = std::max(earliest, oldest + timing_.tFAW);
-        }
-        break;
-      }
-      case CommandType::kRead:
-        earliest = std::max(earliest, next_read_);
-        break;
-      case CommandType::kWrite:
-      case CommandType::kPrecharge:
-      case CommandType::kRefresh:
-        break;
-    }
-    return earliest;
-}
-
 void
 Rank::Issue(const Command& cmd, DramCycle now)
 {

@@ -7,6 +7,7 @@
 #ifndef PARBS_DRAM_RANK_HH
 #define PARBS_DRAM_RANK_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -84,11 +85,38 @@ class Rank {
      * Earliest cycle @p cmd passes the rank- and bank-level constraints,
      * assuming no further command issues in between: for every t,
      * CanIssue(cmd, t) == (t >= EarliestIssue(cmd)) until the next Issue()
-     * on this rank.  The controller's next-event skip-ahead is built on
-     * this equivalence.  @pre cmd.type != kRefresh (refresh legality
-     * depends on row-buffer state, not only on timers).
+     * on this rank; Issue() and refresh only ever move it later.  The
+     * controller's bank prefilter and skip-ahead are built on this
+     * equivalence.  @pre cmd.type != kRefresh (refresh legality depends on
+     * row-buffer state, not only on timers).
      */
-    DramCycle EarliestIssue(const Command& cmd) const;
+    DramCycle
+    EarliestIssue(const Command& cmd) const
+    {
+        PARBS_ASSERT(cmd.type != CommandType::kRefresh,
+                     "EarliestIssue is undefined for refresh");
+        DramCycle earliest = banks_[cmd.bank].EarliestIssue(cmd.type);
+        switch (cmd.type) {
+          case CommandType::kActivate: {
+            earliest = std::max(earliest, next_activate_);
+            // The oldest of the last four ACTIVATEs never moves earlier.
+            const DramCycle oldest =
+                activate_history_[activate_history_head_];
+            if (oldest != kNeverCycle) {
+                earliest = std::max(earliest, oldest + timing_.tFAW);
+            }
+            break;
+          }
+          case CommandType::kRead:
+            earliest = std::max(earliest, next_read_);
+            break;
+          case CommandType::kWrite:
+          case CommandType::kPrecharge:
+          case CommandType::kRefresh:
+            break;
+        }
+        return earliest;
+    }
 
     /** Applies @p cmd at cycle @p now to rank and bank state. */
     void Issue(const Command& cmd, DramCycle now);

@@ -142,22 +142,25 @@ Controller::Tick(DramCycle now)
             }
             UpdateWriteDrain(now);
 
+            // A scan that issues nothing walks both queues, so their walks
+            // fold the whole skip-ahead bound.
+            DramCycle bound = kNeverCycle;
             MemRequest* chosen = nullptr;
             if (write_drain_active_) {
-                chosen = SelectRequest(write_queue_, now);
+                chosen = SelectRequest(write_queue_, now, bound);
             }
             if (chosen == nullptr) {
-                chosen = SelectRequest(read_queue_, now);
+                chosen = SelectRequest(read_queue_, now, bound);
             }
             if (chosen == nullptr && !write_drain_active_) {
-                chosen = SelectRequest(write_queue_, now);
+                chosen = SelectRequest(write_queue_, now, bound);
             }
             if (chosen != nullptr) {
                 IssueFor(*chosen, now);
             } else if (scrubber_ != nullptr && TryScrub(now)) {
                 // Patrol scrub used the otherwise-idle cycle.
             } else if (fast_path_) {
-                next_select_cycle_ = NextReadyBound(now);
+                next_select_cycle_ = bound;
             }
         } else {
             fast_stats_.select_skips += 1;
@@ -192,7 +195,7 @@ Controller::RetireFinished(DramCycle now)
     while (!inburst_reads_.empty() && inburst_reads_.front().done <= now) {
         const InFlight entry = inburst_reads_.front();
         inburst_reads_.pop_front();
-        RequestPtr request = read_queue_.Remove(entry.id);
+        RequestPtr request = read_queue_.Remove(*entry.request);
         PARBS_ASSERT(request->state == RequestState::kInBurst,
                      "retire FIFO out of sync with request state");
         if (entry.ecc_fail) {
@@ -238,9 +241,9 @@ Controller::RetireFinished(DramCycle now)
 
     while (!inburst_writes_.empty() &&
            inburst_writes_.front().done <= now) {
-        const RequestId id = inburst_writes_.front().id;
+        const MemRequest& retiring = *inburst_writes_.front().request;
         inburst_writes_.pop_front();
-        RequestPtr request = write_queue_.Remove(id);
+        RequestPtr request = write_queue_.Remove(retiring);
         PARBS_ASSERT(request->state == RequestState::kInBurst,
                      "retire FIFO out of sync with request state");
         request->state = RequestState::kCompleted;
@@ -319,7 +322,7 @@ Controller::PendingRetires(DramCycle limit, std::vector<PendingRead>& reads,
         if (entry.ecc_fail) {
             continue;
         }
-        reads.push_back({entry.done, entry.thread, entry.id});
+        reads.push_back({entry.done, entry.thread, entry.request->id});
     }
     for (const InFlight& entry : inburst_writes_) {
         if (entry.done >= limit) {
@@ -383,80 +386,94 @@ Controller::HandleRefresh(DramCycle now)
     return false;
 }
 
-Controller::BankIssueOptions
-Controller::BankCouldIssue(const dram::Bank& bank, std::uint32_t rank,
-                           std::uint32_t bank_in_rank, bool is_write_queue,
-                           DramCycle now) const
+Controller::BankReadiness
+Controller::ProbeBank(const dram::Bank& state, std::uint32_t rank,
+                      std::uint32_t bank_in_rank,
+                      dram::CommandType column) const
 {
     // Timing legality does not depend on the row, so probe with row 0.
-    BankIssueOptions options;
-    if (!bank.IsOpen()) {
-        // Every candidate's next command is kActivate.
-        options.activate = channel_.CanIssue(
-            {dram::CommandType::kActivate, rank, bank_in_rank, 0}, now);
-        return options;
+    BankReadiness ready;
+    if (!state.IsOpen()) {
+        // Every request's next command is kActivate.
+        ready.activate = channel_.EarliestIssue(
+            {dram::CommandType::kActivate, rank, bank_in_rank, 0});
+        return ready;
     }
-    // A row is open: candidates are row hits (column command; the queue is
-    // homogeneous, so the type is fixed) or conflicts (kPrecharge).
-    const dram::CommandType column = is_write_queue
-                                         ? dram::CommandType::kWrite
-                                         : dram::CommandType::kRead;
-    options.column = channel_.CanIssue({column, rank, bank_in_rank, 0}, now);
-    options.precharge = channel_.CanIssue(
-        {dram::CommandType::kPrecharge, rank, bank_in_rank, 0}, now);
-    return options;
+    // A row is open: requests are row hits (the column command; queues
+    // are homogeneous, so its type is fixed) or conflicts (kPrecharge).
+    ready.column = channel_.EarliestIssue({column, rank, bank_in_rank, 0});
+    ready.precharge = channel_.EarliestIssue(
+        {dram::CommandType::kPrecharge, rank, bank_in_rank, 0});
+    return ready;
 }
 
 MemRequest*
-Controller::SelectRequest(const RequestQueue& queue, DramCycle now)
+Controller::SelectRequest(const RequestQueue& queue, DramCycle now,
+                          DramCycle& bound)
 {
     if (queue.Empty()) {
         return nullptr;
     }
     const bool refresh_active = channel_.timing().tREFI != 0;
     const bool is_write_queue = &queue == &write_queue_;
+    const dram::CommandType column = is_write_queue
+                                         ? dram::CommandType::kWrite
+                                         : dram::CommandType::kRead;
     const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();
+    // A skip-ahead bound at or before now + 1 scans the next cycle either
+    // way, so the bound is clamped there and stops costing work.
+    const DramCycle floor = now + 1;
 
     finalists_.clear();
     // Ascending flat-bank order over the occupied banks only: the order
     // the finalists have always had, so Pick() sees the same list.
     queue.ForEachQueuedBank([&](std::uint32_t bank) {
         const std::uint32_t rank = bank / banks_per_rank;
-        const std::uint32_t bank_in_rank = bank % banks_per_rank;
         // A rank with an overdue refresh accepts no new commands until the
-        // refresh has been performed (starvation-free refresh guarantee).
+        // refresh has been performed (starvation-free refresh guarantee);
+        // issuing the refresh resets the skip-ahead bound, so the bank
+        // contributes nothing to it either.
         if (refresh_active && channel_.rank(rank).RefreshDue(now)) {
             return;
         }
-        // A bank under a retry-backoff hold issues nothing until it
-        // expires (the hold only delays, so the skip-ahead bound — which
-        // ignores holds — stays a conservative lower bound).
-        if (ras_ != nullptr && ras_->BankHoldUntil(bank) > now) {
-            return;
-        }
+        // One probe gives both the ready mask and, should nothing issue,
+        // the bank's part of the skip-ahead bound.
+        const std::uint32_t bank_in_rank = bank % banks_per_rank;
         const dram::Bank& state = channel_.bank(rank, bank_in_rank);
-        // Skipping a timing-blocked bank cannot change the outcome: the
-        // bank winner's next command is one of the probed types, so it
-        // would fail the Allows() finalist check below anyway (and Pick()
-        // is side-effect-free for every deterministic scheduler).
-        const BankIssueOptions options =
-            BankCouldIssue(state, rank, bank_in_rank, is_write_queue, now);
-        if (!options.Any()) {
-            return;
+        const BankReadiness ready =
+            ProbeBank(state, rank, bank_in_rank, column);
+        // Skipping a bank with nothing ready cannot change the outcome:
+        // the bank winner's next command is one of the probed types, so it
+        // would fail the finalist check below (and Pick() is side-effect-
+        // free for every deterministic scheduler).  A bank under a
+        // retry-backoff hold issues nothing until it expires (the hold
+        // only delays, so the skip-ahead bound — which ignores holds —
+        // stays a conservative lower bound).
+        const bool held = ras_ != nullptr && ras_->BankHoldUntil(bank) > now;
+        if (ready.Earliest() <= now && !held) {
+            if (MemRequest* winner =
+                    scheduler_->PickInBank(queue, bank, now)) {
+                Candidate candidate;
+                candidate.request = winner;
+                candidate.next_command = state.NextCommandFor(
+                    winner->coords.row, winner->is_write);
+                candidate.row_hit = state.open_row() == winner->coords.row;
+                candidate.row_open_since = state.open_since();
+                if (ready.For(candidate.next_command) <= now) {
+                    finalists_.push_back(candidate);
+                    // A ready request: the exact bound is at most now.
+                    bound = floor;
+                    return;
+                }
+            }
         }
-        MemRequest* winner = scheduler_->PickInBank(queue, bank, now);
-        if (winner == nullptr) {
-            return;
-        }
-        Candidate candidate;
-        candidate.request = winner;
-        candidate.next_command =
-            state.NextCommandFor(winner->coords.row, winner->is_write);
-        candidate.row_hit = state.open_row() == winner->coords.row;
-        candidate.row_open_since = state.open_since();
-        // Legality per type was already probed above; no repeat CanIssue.
-        if (options.Allows(candidate.next_command)) {
-            finalists_.push_back(candidate);
+        // The bank's exact contribution, classified only if it can still
+        // lower the bound.
+        if (std::max(ready.Earliest(), floor) < bound) {
+            bound = std::max(
+                std::min(bound, ready.Needed(queue.BankQueued(bank),
+                                             state.open_row())),
+                floor);
         }
     });
     if (finalists_.empty()) {
@@ -552,7 +569,7 @@ Controller::IssueFor(MemRequest& request, DramCycle now)
         auto& fifo = request.is_write ? inburst_writes_ : inburst_reads_;
         PARBS_ASSERT(fifo.empty() || fifo.back().done <= done,
                      "in-burst completions must be pushed in order");
-        fifo.push_back({done, request.id, request.thread, ecc_fail});
+        fifo.push_back({done, &request, request.thread, ecc_fail});
         next_retire_check_ = std::min(next_retire_check_, done);
     }
 
@@ -758,73 +775,6 @@ Controller::RecordCommand(dram::CommandType type, DramCycle now,
         tracer_->Emit({now, obs::EventKind::kCommand, channel_id_, thread,
                        flat_bank, static_cast<std::uint64_t>(type), row});
     }
-}
-
-DramCycle
-Controller::NextReadyBound(DramCycle now) const
-{
-    // One walk over the occupied banks' chains: the chains hold exactly
-    // the queued requests, so the bound equals a full-buffer scan's, while
-    // empty banks and in-burst requests cost nothing.
-    const bool refresh_active = channel_.timing().tREFI != 0;
-    const std::uint32_t banks_per_rank = channel_.rank(0).num_banks();
-    DramCycle bound = kNeverCycle;
-    for (const RequestQueue* queue : {&read_queue_, &write_queue_}) {
-        queue->ForEachQueuedBank([&](std::uint32_t bank) {
-            const std::uint32_t rank = bank / banks_per_rank;
-            // A rank with an overdue refresh accepts no new commands until
-            // the refresh issues — and issuing it resets the cache, so the
-            // bank contributes nothing to the bound until then.
-            if (refresh_active && channel_.rank(rank).RefreshDue(now)) {
-                return;
-            }
-            const std::uint32_t bank_in_rank = bank % banks_per_rank;
-            const dram::Bank& state = channel_.bank(rank, bank_in_rank);
-            // EarliestIssue depends only on the command *type* (the bank,
-            // rank and bus timers are row-independent), so the per-request
-            // minimum within one bank collapses to at most two probes: a
-            // closed bank needs kActivate for every request; an open bank
-            // needs the column command iff any request targets the open
-            // row and kPrecharge iff any request misses it.  The chain
-            // walk is plain row compares with an early exit — no channel
-            // probes — so the bound stays bit-exact with the old
-            // per-request scan at O(occupied banks) probes total.
-            if (!state.IsOpen()) {
-                bound = std::min(
-                    bound, channel_.EarliestIssue(
-                               {dram::CommandType::kActivate, rank,
-                                bank_in_rank, 0}));
-                return;
-            }
-            bool any_hit = false;
-            bool any_miss = false;
-            for (const MemRequest* request : queue->BankQueued(bank)) {
-                (request->coords.row == state.open_row() ? any_hit
-                                                         : any_miss) = true;
-                if (any_hit && any_miss) {
-                    break;
-                }
-            }
-            if (any_hit) {
-                // Queues are homogeneous (reads vs writes), so the column
-                // command type is a property of the queue, not the request.
-                const dram::CommandType column =
-                    queue == &write_queue_ ? dram::CommandType::kWrite
-                                           : dram::CommandType::kRead;
-                bound = std::min(bound,
-                                 channel_.EarliestIssue({column, rank,
-                                                         bank_in_rank,
-                                                         state.open_row()}));
-            }
-            if (any_miss) {
-                bound = std::min(
-                    bound, channel_.EarliestIssue(
-                               {dram::CommandType::kPrecharge, rank,
-                                bank_in_rank, 0}));
-            }
-        });
-    }
-    return bound;
 }
 
 std::uint32_t

@@ -9,6 +9,7 @@
 #ifndef PARBS_MEM_CONTROLLER_HH
 #define PARBS_MEM_CONTROLLER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -306,9 +307,10 @@ class Controller {
      * kNeverCycle means "not until an invalidating event".
      *
      * `next_select_cycle_`: no queued request's next command can pass
-     * CanIssue before this cycle.  Valid until a request arrives or any
-     * command issues (both reset it to 0) — the only events that move the
-     * bank / rank / bus timers or grow the candidate set.
+     * CanIssue before this cycle (RAS holds aside; ranks with a refresh
+     * due excluded).  Set by a selection scan that issues nothing, from
+     * the bound its walk folds (SelectRequest); valid until a request
+     * arrives or any command issues (both reset it to 0).
      *
      * `next_retire_check_`: the earliest completion cycle among in-burst
      * requests; maintained at issue time and recomputed on retirement.
@@ -325,7 +327,7 @@ class Controller {
      */
     struct InFlight {
         DramCycle done;
-        RequestId id;
+        const MemRequest* request;
         ThreadId thread;
         bool ecc_fail;
     };
@@ -354,28 +356,40 @@ class Controller {
      * capture a bank under FR-FCFS and lets PAR-BS's marked requests own
      * their banks.
      *
-     * Indexed (DESIGN.md §5e): walks the queue's occupied banks, skips
-     * refresh-blocked, held and timing-blocked banks (BankCouldIssue), and
-     * asks the scheduler for each remaining bank's memoized winner —
-     * O(occupied banks + queued-in-contending-banks) per cycle instead of
-     * O(buffered requests).
+     * Indexed (DESIGN.md §5e): one walk over the queue's occupied banks
+     * probes each bank once (ProbeBank), skips refresh-blocked and held
+     * banks and banks with no command type ready, and asks the scheduler
+     * for each remaining bank's memoized winner — O(occupied banks +
+     * queued-in-contending-banks) per cycle instead of O(buffered
+     * requests).  The same walk folds into @p bound the skip-ahead bound
+     * that next_select_cycle_ takes when the scan issues nothing: the
+     * earliest cycle any queued request's next command passes timing, or
+     * now + 1 if that is sooner or a finalist was found.
      * @return the chosen request, or nullptr if nothing can issue.
      */
-    MemRequest* SelectRequest(const RequestQueue& queue, DramCycle now);
+    MemRequest* SelectRequest(const RequestQueue& queue, DramCycle now,
+                              DramCycle& bound);
 
     /**
-     * Per-command-type issue legality for one bank.  Timing legality is
-     * row-independent, so one probe per type answers for every candidate
-     * in the bank: kActivate when the bank is closed; the queue's column
-     * command and kPrecharge when a row is open.
+     * Earliest issue cycle of each command type a request of one queue
+     * could need in one bank — kActivate when the bank is closed; the
+     * queue's column command and kPrecharge when a row is open — and
+     * kNeverCycle for the types it cannot need.  Timing legality is
+     * row-independent, so these answer for every request in the bank, and
+     * CanIssue(cmd, now) is exactly now >= For(cmd.type).
      */
-    struct BankIssueOptions {
-        bool activate = false;
-        bool column = false;
-        bool precharge = false;
+    struct BankReadiness {
+        DramCycle activate = kNeverCycle;
+        DramCycle column = kNeverCycle;
+        DramCycle precharge = kNeverCycle;
 
-        bool Any() const { return activate || column || precharge; }
-        bool Allows(dram::CommandType type) const
+        DramCycle
+        Earliest() const
+        {
+            return std::min({activate, column, precharge});
+        }
+        DramCycle
+        For(dram::CommandType type) const
         {
             switch (type) {
               case dram::CommandType::kActivate:
@@ -386,25 +400,40 @@ class Controller {
               case dram::CommandType::kPrecharge:
                 return precharge;
               case dram::CommandType::kRefresh:
-                return false;
+                break;
             }
-            return false;
+            return kNeverCycle;
+        }
+
+        /**
+         * Earliest cycle any request of @p chain (the bank's queued
+         * requests, @p open_row its open row) could issue its next
+         * command: for an open bank the earlier of the two types counts
+         * only if some request needs it, and every request needs one of
+         * them.  Walks the chain up to the first such request.
+         */
+        DramCycle
+        Needed(RequestQueue::BankChain chain, std::uint32_t open_row) const
+        {
+            if (column == precharge) {
+                // A closed bank (both kNeverCycle), or a tie.
+                return Earliest();
+            }
+            const bool column_first = column < precharge;
+            for (const MemRequest* request : chain) {
+                if ((request->coords.row == open_row) == column_first) {
+                    return std::min(column, precharge);
+                }
+            }
+            return std::max(column, precharge);
         }
     };
 
-    /**
-     * Bank-ready prefilter: which commands a candidate from this queue
-     * could need pass every timing check at @p now.  Exact: an all-false
-     * return implies CanIssue is false for every candidate's next command
-     * in this bank, because each candidate's next command is one of the
-     * probed types, and the finalist check reduces to Allows() on the
-     * winner's command type — no repeated channel probe.
-     */
-    BankIssueOptions BankCouldIssue(const dram::Bank& bank,
-                                    std::uint32_t rank,
-                                    std::uint32_t bank_in_rank,
-                                    bool is_write_queue,
-                                    DramCycle now) const;
+    /** One EarliestIssue probe per type a request whose column command
+     *  is @p column could need in bank @p state. */
+    BankReadiness ProbeBank(const dram::Bank& state, std::uint32_t rank,
+                            std::uint32_t bank_in_rank,
+                            dram::CommandType column) const;
 
     void IssueFor(MemRequest& request, DramCycle now);
 
@@ -436,18 +465,6 @@ class Controller {
     /** Closes the completed scrub read: classification bookkeeping and —
      *  for an uncorrectable row — proactive retirement. */
     void FinishScrub(DramCycle now);
-
-    /**
-     * Earliest cycle any currently-queued request's next command could
-     * pass every timing check, assuming no arrivals and no issues in the
-     * interim (either event resets the cache).  kNeverCycle if no queued
-     * candidates exist (or all sit behind an overdue refresh, which must
-     * issue — and therefore invalidate — first).  Walks the occupied
-     * banks' chains, so empty banks cost one bit and in-burst requests are
-     * never visited.  A bound that is too late skips a cycle that had a ready
-     * pick; the scan oracle in tests/oracle/ fails on exactly that.
-     */
-    DramCycle NextReadyBound(DramCycle now) const;
 
     /** Recomputes next_retire_check_ from the in-burst requests. */
     void RecomputeNextRetire();

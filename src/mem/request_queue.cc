@@ -50,15 +50,15 @@ RequestQueue::Add(RequestPtr request)
 }
 
 RequestPtr
-RequestQueue::Remove(RequestId id)
+RequestQueue::Remove(const MemRequest& request)
 {
-    auto it = std::find_if(requests_.begin(), requests_.end(),
-                           [id](const auto& r) { return r->id == id; });
-    PARBS_ASSERT(it != requests_.end(),
+    const auto it = std::find(view_.begin(), view_.end(), &request);
+    PARBS_ASSERT(it != view_.end(),
                  "removing a request that is not in the buffer");
-    RequestPtr out = std::move(*it);
-    view_.erase(view_.begin() + (it - requests_.begin()));
-    requests_.erase(it);
+    const auto index = it - view_.begin();
+    RequestPtr out = std::move(requests_[static_cast<std::size_t>(index)]);
+    view_.erase(it);
+    requests_.erase(requests_.begin() + index);
     per_thread_bank_[static_cast<std::size_t>(out->thread) * num_banks_ +
                      FlatBank(*out)] -= 1;
     per_thread_[out->thread] -= 1;

@@ -89,11 +89,12 @@ class RequestQueue {
     MemRequest& Add(RequestPtr request);
 
     /**
-     * Removes a completed request from the buffer.
+     * Removes a completed request from the buffer, found by address (a
+     * pointer compare per buffered request, no dereference).
      * @return ownership of the removed request.
      * @pre the request is present.
      */
-    RequestPtr Remove(RequestId id);
+    RequestPtr Remove(const MemRequest& request);
 
     /**
      * Unlinks @p request from its bank chain when service begins (state

@@ -23,10 +23,10 @@ TEST(RequestQueue, AddRemoveTracksSize)
 {
     RequestQueue queue(4, 2, 1, 8);
     EXPECT_TRUE(queue.Empty());
-    queue.Add(Make(1, 0, 0));
+    MemRequest& first = queue.Add(Make(1, 0, 0));
     queue.Add(Make(2, 1, 3));
     EXPECT_EQ(queue.size(), 2u);
-    auto removed = queue.Remove(1);
+    auto removed = queue.Remove(first);
     EXPECT_EQ(removed->id, 1u);
     EXPECT_EQ(queue.size(), 1u);
 }
@@ -61,7 +61,7 @@ TEST(RequestQueue, OccupancyCountersFollowContents)
 {
     RequestQueue queue(16, 2, 1, 8);
     queue.Add(Make(1, 0, 3));
-    queue.Add(Make(2, 0, 3));
+    MemRequest& second = queue.Add(Make(2, 0, 3));
     queue.Add(Make(3, 0, 5));
     queue.Add(Make(4, 1, 3));
     EXPECT_EQ(queue.ReqsInBankPerThread(0, 3), 2u);
@@ -70,7 +70,7 @@ TEST(RequestQueue, OccupancyCountersFollowContents)
     EXPECT_EQ(queue.ReqsPerThread(0), 3u);
     EXPECT_EQ(queue.ReqsPerThread(1), 1u);
 
-    queue.Remove(2);
+    queue.Remove(second);
     EXPECT_EQ(queue.ReqsInBankPerThread(0, 3), 1u);
     EXPECT_EQ(queue.ReqsPerThread(0), 2u);
 }
@@ -89,9 +89,9 @@ TEST(RequestQueue, ViewIsArrivalOrdered)
 {
     RequestQueue queue(16, 1, 1, 8);
     queue.Add(Make(10, 0, 0));
-    queue.Add(Make(11, 0, 1));
+    MemRequest& middle = queue.Add(Make(11, 0, 1));
     queue.Add(Make(12, 0, 2));
-    queue.Remove(11);
+    queue.Remove(middle);
     ASSERT_EQ(queue.requests().size(), 2u);
     EXPECT_EQ(queue.requests()[0]->id, 10u);
     EXPECT_EQ(queue.requests()[1]->id, 12u);
@@ -101,7 +101,9 @@ TEST(RequestQueue, RemoveMissingAborts)
 {
     RequestQueue queue(16, 1, 1, 8);
     queue.Add(Make(1, 0, 0));
-    EXPECT_DEATH(queue.Remove(99), "not in the buffer");
+    // Same id, another request: removal goes by address.
+    const auto stranger = Make(1, 0, 0);
+    EXPECT_DEATH(queue.Remove(*stranger), "not in the buffer");
 }
 
 TEST(RequestQueue, BankChainsAreArrivalOrderedPerBank)
@@ -146,7 +148,7 @@ TEST(RequestQueue, BeginServiceUnlinksButKeepsBuffered)
     queue.CheckIndex();
 
     // Removing the in-burst request must not touch the chain again.
-    queue.Remove(2);
+    queue.Remove(middle);
     EXPECT_EQ(queue.QueuedInBank(2), 2u);
     queue.CheckIndex();
 }
@@ -178,7 +180,7 @@ TEST(RequestQueue, BankGenerationsBumpOnChainChangesOnly)
     EXPECT_GT(queue.BankGeneration(2), after_add);
 
     const std::uint64_t after_service = queue.BankGeneration(2);
-    queue.Remove(1); // already unlinked: chain untouched
+    queue.Remove(request); // already unlinked: chain untouched
     EXPECT_EQ(queue.BankGeneration(2), after_service);
 }
 
@@ -186,11 +188,11 @@ TEST(RequestQueue, OldestIsFrontOfArrivalOrder)
 {
     RequestQueue queue(16, 1, 1, 8);
     EXPECT_EQ(queue.Oldest(), nullptr);
-    queue.Add(Make(7, 0, 0));
+    MemRequest& oldest = queue.Add(Make(7, 0, 0));
     queue.Add(Make(8, 0, 1));
     ASSERT_NE(queue.Oldest(), nullptr);
     EXPECT_EQ(queue.Oldest()->id, 7u);
-    queue.Remove(7);
+    queue.Remove(oldest);
     EXPECT_EQ(queue.Oldest()->id, 8u);
 }
 

@@ -1,5 +1,6 @@
 #include "oracle/scan_checked.hh"
 
+#include <ostream>
 #include <sstream>
 
 #include "common/assert.hh"
@@ -207,6 +208,28 @@ InstallScanOracle(SystemConfig& config)
         return std::make_unique<ScanChecked>(MakeScheduler(scheduler),
                                              controller);
     };
+}
+
+ScanSchedule&
+ScanSchedule::operator+=(const Controller& controller)
+{
+    const Controller::FastPathStats& fast = controller.fast_path_stats();
+    const Scheduler::PickMemoCounters memo =
+        controller.scheduler().MemoCounters();
+    scans += fast.select_scans;
+    skips += fast.select_skips;
+    memo_hits += memo.hits;
+    memo_misses += memo.misses;
+    memo_invalidations += memo.invalidations;
+    return *this;
+}
+
+std::ostream&
+operator<<(std::ostream& out, const ScanSchedule& schedule)
+{
+    return out << "{" << schedule.scans << ", " << schedule.skips << ", "
+               << schedule.memo_hits << ", " << schedule.memo_misses << ", "
+               << schedule.memo_invalidations << "}";
 }
 
 std::vector<ScanChecked*>

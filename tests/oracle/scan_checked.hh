@@ -12,7 +12,7 @@
  * requests by bank, asks Pick() for every bank's winner, keeps the winners
  * whose next command passes CanIssue, and asks Pick() again among them.
  * The scan shares nothing with the production path — no per-bank chains,
- * BankCouldIssue prefilter, PickInBank memo or skip-ahead bound — so an
+ * EarliestIssue prefilter, PickInBank memo or skip-ahead bound — so an
  * OnCommandIssued for any other request, on any other cycle, or a
  * predicted pick that never issues, throws SelectionMismatch.
  *
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -129,6 +130,28 @@ struct CheckedHarness {
     ScanChecked* oracle;
     test::ControllerHarness h;
 };
+
+/**
+ * What the oracle cannot see: on which cycles a controller scanned or
+ * skipped selection, and how its scheduler's per-bank memo fared (every
+ * PickInBank call is a hit or a miss).  A skip-ahead bound that is early
+ * or a prefilter that lets a blocked bank through changes no pick, only
+ * these counts, so the exactness tests pin them per scheduler.
+ */
+struct ScanSchedule {
+    std::uint64_t scans = 0;
+    std::uint64_t skips = 0;
+    std::uint64_t memo_hits = 0;
+    std::uint64_t memo_misses = 0;
+    std::uint64_t memo_invalidations = 0;
+
+    /** Adds @p controller's fast-path and pick-memo counters. */
+    ScanSchedule& operator+=(const Controller& controller);
+    bool operator==(const ScanSchedule&) const = default;
+};
+
+/** Prints {scans, skips, hits, misses, invalidations}. */
+std::ostream& operator<<(std::ostream& out, const ScanSchedule& schedule);
 
 /**
  * Makes @p config build every channel's scheduler from config.scheduler,

@@ -117,7 +117,8 @@ FuzzIndex(std::uint32_t ranks, std::uint32_t banks_per_rank,
                 const std::size_t pick = static_cast<std::size_t>(
                     rng.NextBelow(model.buffered.size()));
                 const RequestId id = model.buffered[pick];
-                RequestPtr removed = queue.Remove(id);
+                // The view is arrival-ordered, like the model's list.
+                RequestPtr removed = queue.Remove(*queue.requests()[pick]);
                 ASSERT_EQ(removed->id, id);
                 model.buffered.erase(model.buffered.begin() +
                                      static_cast<std::ptrdiff_t>(pick));
@@ -216,12 +217,38 @@ DriveRandomTraffic(ControllerHarness& h, std::uint64_t seed)
 /**
  * Parameterized over the whole factory registry.  The scan oracle predicts
  * every DRAM cycle from a full-buffer scan through Pick() alone and throws
- * if the controller's indexed path (per-bank chains, BankCouldIssue
+ * if the controller's indexed path (per-bank chains, EarliestIssue
  * prefilter, memoized PickInBank winners, skip-ahead bound) issues
- * anything else.
+ * anything else.  The scan schedules the oracle cannot see are pinned per
+ * scheduler, in AllSchedulerKinds() order: {select scans, select skips,
+ * pick-memo hits, misses, invalidations} summed over a test's scenarios.
  */
 class IndexedSelectionExactness
     : public ::testing::TestWithParam<SchedulerKind> {};
+
+const oracle::ScanSchedule kEndToEndSchedule[] = {
+    /* FCFS */ {2334, 668, 3232, 1704, 0},
+    /* FR-FCFS */ {2299, 554, 3988, 1635, 0},
+    /* NFQ */ {2288, 590, 0, 0, 0},
+    /* STFM */ {2325, 572, 4088, 1660, 22},
+    /* PAR-BS */ {2317, 693, 3810, 1633, 7},
+    /* PAR-BS static */ {2316, 599, 4017, 1611, 2},
+    /* PAR-BS eslot */ {2334, 608, 4272, 1608, 3},
+    /* PAR-BS adaptive */ {2317, 693, 3810, 1633, 7},
+    /* BLISS */ {2295, 560, 4182, 1639, 6},
+};
+
+const oracle::ScanSchedule kWideGeometrySchedule[] = {
+    /* FCFS */ {2268, 233, 42839, 2527, 0},
+    /* FR-FCFS */ {2286, 205, 52572, 2613, 0},
+    /* NFQ */ {2303, 217, 0, 0, 0},
+    /* STFM */ {2263, 215, 43388, 5278, 62},
+    /* PAR-BS */ {2301, 229, 46876, 2746, 8},
+    /* PAR-BS static */ {2286, 205, 52572, 2613, 0},
+    /* PAR-BS eslot */ {2291, 209, 52401, 2548, 2},
+    /* PAR-BS adaptive */ {2301, 229, 46876, 2746, 8},
+    /* BLISS */ {2286, 205, 52572, 2613, 0},
+};
 
 TEST_P(IndexedSelectionExactness, IndexedMatchesFullScanEndToEnd)
 {
@@ -234,6 +261,7 @@ TEST_P(IndexedSelectionExactness, IndexedMatchesFullScanEndToEnd)
     config.write_drain_low = 4;
     dram::TimingParams timing = test::TestTiming();
     timing.tREFI = 300;
+    oracle::ScanSchedule schedule;
     for (std::uint64_t scenario = 0; scenario < 2; ++scenario) {
         CheckedHarness x(MakeScheduler(ConfigFor(GetParam())), config,
                          timing);
@@ -258,7 +286,10 @@ TEST_P(IndexedSelectionExactness, IndexedMatchesFullScanEndToEnd)
                   0u);
         EXPECT_EQ(x.oracle->cycles_checked(), x.h.now());
         EXPECT_GT(x.oracle->picks_checked(), 0u);
+        schedule += x.h.controller();
     }
+    EXPECT_EQ(schedule,
+              kEndToEndSchedule[static_cast<std::size_t>(GetParam())]);
 }
 
 TEST_P(IndexedSelectionExactness, EveryPickCrossChecksUnderRandomTraffic)
@@ -290,6 +321,7 @@ TEST_P(IndexedSelectionExactness, WideGeometryMatchesFullScan)
     config.write_drain_low = 4;
     dram::TimingParams timing = test::TestTiming();
     timing.tREFI = 400;
+    oracle::ScanSchedule schedule;
     for (std::uint64_t scenario = 0; scenario < 2; ++scenario) {
         CheckedHarness x(MakeScheduler(ConfigFor(GetParam())), config,
                          timing, kWideThreads, geometry);
@@ -317,7 +349,10 @@ TEST_P(IndexedSelectionExactness, WideGeometryMatchesFullScan)
         EXPECT_EQ(x.h.controller().pending_writes(), 0u);
         EXPECT_EQ(x.oracle->cycles_checked(), x.h.now());
         EXPECT_GT(x.oracle->picks_checked(), 0u);
+        schedule += x.h.controller();
     }
+    EXPECT_EQ(schedule,
+              kWideGeometrySchedule[static_cast<std::size_t>(GetParam())]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -397,6 +432,11 @@ TEST(ScanOracle, RasBankHoldsAreHonoured)
     ASSERT_NE(x.h.controller().ras(), nullptr);
     EXPECT_GT(x.h.controller().ras()->stats().retries, 0u);
     EXPECT_GT(x.oracle->picks_checked(), 0u);
+    // The skip-ahead bound ignores holds, so a held bank still shapes the
+    // scan schedule (pinned as in IndexedSelectionExactness).
+    oracle::ScanSchedule schedule;
+    schedule += x.h.controller();
+    EXPECT_EQ(schedule, (oracle::ScanSchedule{1293, 142, 2076, 1092, 9}));
 }
 
 TEST(ScanOracle, NondeterministicPickIsForwardedUnchecked)

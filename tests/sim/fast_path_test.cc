@@ -40,6 +40,7 @@ struct CheckedRun {
     std::uint64_t skips = 0;
     std::uint64_t cycles_checked = 0;
     std::uint64_t picks_checked = 0;
+    oracle::ScanSchedule schedule;
 };
 
 CheckedRun
@@ -79,6 +80,7 @@ RunSystem(SchedulerKind kind, double mpki, bool oracle,
         const Controller::FastPathStats& fast = controller.fast_path_stats();
         out.ticks += fast.select_scans + fast.select_skips;
         out.skips += fast.select_skips;
+        out.schedule += controller;
     }
     for (const oracle::ScanChecked* checked : oracles) {
         out.cycles_checked += checked->cycles_checked();
@@ -87,6 +89,34 @@ RunSystem(SchedulerKind kind, double mpki, bool oracle,
     return out;
 }
 
+/**
+ * RunSystem's scan schedule per scheduler (AllSchedulerKinds() order) at
+ * mpki 20 and 2: select scans, select skips, pick-memo hits, misses and
+ * invalidations.  The oracle checks picks; these pin when the controller
+ * scans and which banks reach PickInBank, which an early skip-ahead bound
+ * or a loose bank prefilter changes without changing a pick.
+ */
+const oracle::ScanSchedule kExpectedSchedule[][2] = {
+    // FCFS
+    {{18341, 1615, 38808, 13993, 0}, {9856, 10091, 15287, 5746, 0}},
+    // FR-FCFS
+    {{18891, 1060, 68989, 12425, 0}, {9767, 10179, 16590, 5479, 0}},
+    // NFQ
+    {{18579, 1374, 0, 0, 0}, {9277, 10669, 0, 0, 0}},
+    // STFM
+    {{18586, 1366, 67223, 12606, 137}, {9782, 10169, 17548, 5674, 96}},
+    // PAR-BS
+    {{18888, 1066, 63949, 13626, 189}, {9713, 10233, 15782, 6196, 398}},
+    // PAR-BS static
+    {{18113, 1837, 51009, 11937, 6}, {10168, 9779, 18389, 5495, 4}},
+    // PAR-BS eslot
+    {{17784, 2168, 47130, 12314, 70}, {9643, 10303, 15309, 5690, 186}},
+    // PAR-BS adaptive
+    {{18888, 1066, 63949, 13626, 189}, {9713, 10233, 15782, 6196, 398}},
+    // BLISS
+    {{19110, 844, 71303, 12840, 9}, {9976, 9971, 17774, 5502, 9}},
+};
+
 class FastPathExactness : public ::testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(FastPathExactness, SkipAheadMatchesPerCycleScan)
@@ -94,11 +124,16 @@ TEST_P(FastPathExactness, SkipAheadMatchesPerCycleScan)
     // High-mpki saturated traffic and low-mpki idle-heavy traffic stress
     // different skip windows (retirement-bound vs arrival-bound).  The
     // oracle throws on the first divergence; the unchecked run must then
-    // measure exactly the same.
-    for (double mpki : {20.0, 2.0}) {
+    // measure exactly the same, and the scan schedule must match its pin.
+    const double mpkis[] = {20.0, 2.0};
+    for (std::size_t i = 0; i < 2; ++i) {
+        const double mpki = mpkis[i];
         const CheckedRun checked =
             RunSystem(GetParam(), mpki, /*oracle=*/true);
         EXPECT_GT(checked.picks_checked, 0u) << "mpki " << mpki;
+        EXPECT_EQ(checked.schedule,
+                  kExpectedSchedule[static_cast<std::size_t>(GetParam())][i])
+            << "mpki " << mpki;
         EXPECT_EQ(checked.fingerprint,
                   RunSystem(GetParam(), mpki, /*oracle=*/false).fingerprint)
             << "the oracle changed the run at mpki " << mpki;
