@@ -30,7 +30,7 @@ void
 ApplyRate(SystemConfig& config, double rate)
 {
     if (rate <= 0.0) {
-        return; // error-free row: RAS fully disabled (the fast path stays).
+        return; // error-free row: RAS fully disabled.
     }
     config.controller.ras.enabled = true;
     config.controller.ras.transient_error_rate = rate;

@@ -54,7 +54,7 @@ class BlpFirstScheduler : public ParBsScheduler {
 
     bool
     Better(const Candidate& a, const Candidate& b,
-           DramCycle now) const override
+           DramCycle /*now*/) const override
     {
         const MemRequest& ra = *a.request;
         const MemRequest& rb = *b.request;

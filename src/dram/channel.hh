@@ -70,32 +70,19 @@ class Channel {
     bool
     CanIssue(const Command& cmd, DramCycle now) const
     {
-        PARBS_ASSERT(cmd.rank < ranks_.size(), "command rank out of range");
-        if (cmd.type == CommandType::kRead ||
-            cmd.type == CommandType::kWrite) {
-            // The data burst [start, start + tBURST) must begin after the
-            // current bus occupant finishes.  Because tCWD < tCL on DDR2,
-            // this start-after-free rule is slightly conservative for a
-            // write following a read, which matches real controllers' bus
-            // turnaround.
-            const DramCycle latency = (cmd.type == CommandType::kRead)
-                                          ? timing_.tCL
-                                          : timing_.tCWD;
-            if (now + latency < bus_free_at_) {
-                return false;
-            }
+        if (cmd.type == CommandType::kRefresh) {
+            return rank(cmd.rank).CanRefresh(now);
         }
-        return ranks_[cmd.rank].CanIssue(cmd, now);
+        return now >= EarliestIssue(cmd);
     }
 
     /**
      * Earliest cycle @p cmd passes every device and bus constraint,
-     * assuming no further command issues on this channel in between: for
-     * every t, CanIssue(cmd, t) == (t >= EarliestIssue(cmd)) until the
-     * next Issue(), and Issue() only ever moves it later (every timer
-     * behind it is a running maximum).  The controller's bank prefilter
-     * and skip-ahead bound are built on the first fact
-     * (tests/dram/earliest_issue_test.cc checks both).
+     * assuming no further command issues on this channel in between.
+     * Issue() only ever moves it later (every timer behind it is a running
+     * maximum).  The controller's bank prefilter and skip-ahead bound are
+     * built on that (tests/dram/earliest_issue_test.cc checks it, and that
+     * commands issued at this cycle pass the protocol checker).
      * @pre cmd.type != kRefresh
      */
     DramCycle
@@ -105,11 +92,15 @@ class Channel {
         DramCycle earliest = ranks_[cmd.rank].EarliestIssue(cmd);
         if (cmd.type == CommandType::kRead ||
             cmd.type == CommandType::kWrite) {
+            // The data burst [start, start + tBURST) must begin after the
+            // current bus occupant finishes, so the command becomes
+            // bus-ready at bus_free_at_ - latency.  Because tCWD < tCL on
+            // DDR2, this start-after-free rule is slightly conservative for
+            // a write following a read, which matches real controllers'
+            // bus turnaround.
             const DramCycle latency = (cmd.type == CommandType::kRead)
                                           ? timing_.tCL
                                           : timing_.tCWD;
-            // CanIssue blocks while now + latency < bus_free_at_, i.e. the
-            // command becomes bus-ready at bus_free_at_ - latency.
             if (bus_free_at_ > latency) {
                 earliest = std::max(earliest, bus_free_at_ - latency);
             }

@@ -53,41 +53,18 @@ class Rank {
     bool
     CanIssue(const Command& cmd, DramCycle now) const
     {
-        switch (cmd.type) {
-          case CommandType::kActivate: {
-            if (now < next_activate_) {
-                return false;
-            }
-            // tFAW: at most four ACTIVATEs in any tFAW window.  The oldest
-            // entry in the 4-deep history must be at least tFAW in the past.
-            const DramCycle oldest =
-                activate_history_[activate_history_head_];
-            if (oldest != kNeverCycle && now < oldest + timing_.tFAW) {
-                return false;
-            }
-            break;
-          }
-          case CommandType::kRead:
-            if (now < next_read_) {
-                return false;
-            }
-            break;
-          case CommandType::kWrite:
-          case CommandType::kPrecharge:
-            break;
-          case CommandType::kRefresh:
+        if (cmd.type == CommandType::kRefresh) {
             return CanRefresh(now);
         }
-        return banks_[cmd.bank].CanIssue(cmd.type, now);
+        return now >= EarliestIssue(cmd);
     }
 
     /**
      * Earliest cycle @p cmd passes the rank- and bank-level constraints,
-     * assuming no further command issues in between: for every t,
-     * CanIssue(cmd, t) == (t >= EarliestIssue(cmd)) until the next Issue()
-     * on this rank; Issue() and refresh only ever move it later.  The
-     * controller's bank prefilter and skip-ahead are built on this
-     * equivalence.  @pre cmd.type != kRefresh (refresh legality depends on
+     * assuming no further command issues in between.  Issue() and refresh
+     * only ever move it later (every timer behind it is a running
+     * maximum); the controller's bank prefilter and skip-ahead are built
+     * on that.  @pre cmd.type != kRefresh (refresh legality depends on
      * row-buffer state, not only on timers).
      */
     DramCycle
@@ -99,7 +76,9 @@ class Rank {
         switch (cmd.type) {
           case CommandType::kActivate: {
             earliest = std::max(earliest, next_activate_);
-            // The oldest of the last four ACTIVATEs never moves earlier.
+            // tFAW: at most four ACTIVATEs in any tFAW window.  The oldest
+            // entry in the 4-deep history must be at least tFAW in the
+            // past, and it never moves earlier.
             const DramCycle oldest =
                 activate_history_[activate_history_head_];
             if (oldest != kNeverCycle) {

@@ -56,10 +56,6 @@ Controller::Controller(const ControllerConfig& config,
             scrubber_ = std::make_unique<Scrubber>(
                 geometry, config_.ras.scrub_interval,
                 config_.ras.scrub_demote_reads);
-            // The skip-ahead bound does not model the scrub clock, and
-            // scrub decisions happen exactly on the idle cycles the fast
-            // path would skip: run the full per-cycle scan.
-            fast_path_ = false;
         }
     }
     if (config_.watchdog.enabled) {
@@ -118,7 +114,7 @@ Controller::Tick(DramCycle now)
 {
     // Retirement fast path: in-burst completion cycles are known at issue
     // time, so the scan is pointless before the earliest of them.
-    if (!fast_path_ || now >= next_retire_check_) {
+    if (now >= next_retire_check_) {
         RetireFinished(now);
     }
     scheduler_->OnDramCycle(now);
@@ -126,16 +122,18 @@ Controller::Tick(DramCycle now)
     bool issued = HandleRefresh(now);
     if (!issued) {
         // Selection fast path: while the cached bound proves no queued
-        // command can pass its timing checks, the whole two-level scan is
-        // skipped.  The bound stays valid because bank / rank / bus timers
-        // move only when a command issues and the candidate set grows only
-        // on arrival — both reset next_select_cycle_.  Skipping a cycle
-        // that issues nothing is observationally identical to scanning it:
-        // Pick() is side-effect-free across all schedulers, and the write-
-        // drain watermark state is kept cycle-exact by RetireFinished
-        // (retirement is the only event that changes queue sizes during a
-        // skip window; see the note there).
-        if (!fast_path_ || now >= next_select_cycle_) {
+        // command (and no scrub command) can pass its timing checks, the
+        // whole two-level scan is skipped.  The bound stays valid because
+        // bank / rank / bus timers move only when a command issues and the
+        // candidate set grows only on arrival — both reset
+        // next_select_cycle_.  Skipping a cycle that issues nothing is
+        // observationally identical to scanning it: Pick() is side-effect-
+        // free across all schedulers, the write-drain watermark state is
+        // kept cycle-exact by RetireFinished (retirement is the only event
+        // that changes queue sizes during a skip window; see the note
+        // there), and a declining TryScrub only moves the scrub cursor
+        // past retired rows, which commutes (DESIGN.md §6).
+        if (now >= next_select_cycle_) {
             fast_stats_.select_scans += 1;
             if (tracer_ != nullptr) {
                 FlushSkipSpan();
@@ -143,7 +141,8 @@ Controller::Tick(DramCycle now)
             UpdateWriteDrain(now);
 
             // A scan that issues nothing walks both queues, so their walks
-            // fold the whole skip-ahead bound.
+            // fold the whole skip-ahead bound; a declining scrub folds its
+            // own part.
             DramCycle bound = kNeverCycle;
             MemRequest* chosen = nullptr;
             if (write_drain_active_) {
@@ -157,9 +156,7 @@ Controller::Tick(DramCycle now)
             }
             if (chosen != nullptr) {
                 IssueFor(*chosen, now);
-            } else if (scrubber_ != nullptr && TryScrub(now)) {
-                // Patrol scrub used the otherwise-idle cycle.
-            } else if (fast_path_) {
+            } else if (scrubber_ == nullptr || !TryScrub(now, bound)) {
                 next_select_cycle_ = bound;
             }
         } else {
@@ -256,9 +253,15 @@ Controller::RetireFinished(DramCycle now)
         scheduler_->OnRequestComplete(*request, now);
     }
 
-    if (scrubber_ != nullptr && scrubber_->in_flight() &&
-        scrubber_->completion() <= now) {
-        FinishScrub(now);
+    if (scrubber_ != nullptr) {
+        if (scrubber_->in_flight() && scrubber_->completion() <= now) {
+            FinishScrub(now);
+        }
+        // A scrub that declined for an in-flight scrub read, the write
+        // drain or the demotion watermark folded nothing into the skip-
+        // ahead bound: each of those clears only here (or on an arrival or
+        // an issue, which reset the bound too).
+        next_select_cycle_ = 0;
     }
 
     // Keep the write-drain hysteresis exact across skipped selection scans:
@@ -643,10 +646,15 @@ Controller::RetireRow(ThreadId thread, std::uint32_t rank,
 }
 
 bool
-Controller::TryScrub(DramCycle now)
+Controller::TryScrub(DramCycle now, DramCycle& bound)
 {
     Scrubber& scrub = *scrubber_;
-    if (scrub.in_flight() || now < scrub.next_due()) {
+    if (scrub.in_flight()) {
+        return false;
+    }
+    if (now < scrub.next_due()) {
+        // The clock moves only when a scrub read retires.
+        bound = std::min(bound, scrub.next_due());
         return false;
     }
     // Forced demotion under queue pressure: scrub stands down while the
@@ -655,19 +663,19 @@ Controller::TryScrub(DramCycle now)
         read_queue_.size() >= scrub.demote_reads()) {
         return false;
     }
-    // Skip remapped rows — their physical row no longer holds data.  A
-    // consecutive retired run is at most remap_used() long, so the walk
-    // is bounded; if every row is retired there is nothing to scrub.
-    std::size_t skipped = 0;
+    // Once every row is retired there is nothing left to scrub, ever: the
+    // retired set only grows.  Otherwise the walk below finds a row.
+    if (ras_->remap_used() >= scrub.rows()) {
+        return false;
+    }
+    // Skip remapped rows — their physical row no longer holds data.
     while (ras_->IsRetired(scrub.rank(), scrub.bank(), scrub.row())) {
-        if (skipped++ > ras_->remap_used()) {
-            return false;
-        }
         scrub.AdvanceCursor();
     }
     const std::uint32_t rank = scrub.rank();
     const std::uint32_t bank_in_rank = scrub.bank();
-    // Like demand selection, never step in front of an overdue refresh.
+    // Like demand selection, never step in front of an overdue refresh
+    // (issuing it resets the bound).
     if (channel_.rank(rank).RefreshDue(now)) {
         return false;
     }
@@ -675,7 +683,9 @@ Controller::TryScrub(DramCycle now)
     const dram::CommandType type =
         bank.NextCommandFor(scrub.row(), /*is_write=*/false);
     dram::Command command{type, rank, bank_in_rank, scrub.row()};
-    if (!channel_.CanIssue(command, now)) {
+    const DramCycle earliest = channel_.EarliestIssue(command);
+    if (now < earliest) {
+        bound = std::min(bound, earliest);
         return false;
     }
     const DramCycle done = channel_.Issue(command, now);

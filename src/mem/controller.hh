@@ -62,9 +62,6 @@ struct ControllerConfig {
      * with bounded retry + row retirement, and patrol scrubbing (DESIGN.md
      * §6).  Disabled by default; when disabled no RAS state is allocated
      * and every hook is one null-pointer branch (the PR 5 discipline).
-     * Note: enabling the scrubber turns the skip-ahead fast path off — the
-     * skip-ahead bound does not model the scrub clock, and scrub decisions
-     * are made on idle cycles the fast path would otherwise skip.
      */
     RasConfig ras;
 
@@ -294,23 +291,16 @@ class Controller {
     std::vector<Candidate> finalists_;
 
     /**
-     * Skip-ahead fast path: skip selection on cycles where the cached
-     * next-event bound proves no command can become ready, and skip the
-     * retirement scan until the earliest in-flight burst completes.  Off
-     * only when a patrol scrubber runs (see ControllerConfig::ras).
-     */
-    bool fast_path_ = true;
-
-    /**
      * Next-event caches (see DESIGN.md "Hot-loop fast path").  Both are
      * conservative lower bounds on when the guarded scan can next do work;
      * kNeverCycle means "not until an invalidating event".
      *
-     * `next_select_cycle_`: no queued request's next command can pass
-     * CanIssue before this cycle (RAS holds aside; ranks with a refresh
-     * due excluded).  Set by a selection scan that issues nothing, from
-     * the bound its walk folds (SelectRequest); valid until a request
-     * arrives or any command issues (both reset it to 0).
+     * `next_select_cycle_`: no queued request's next command, and no
+     * scrub command, can pass CanIssue before this cycle (RAS holds aside;
+     * ranks with a refresh due excluded).  Set by a selection scan that
+     * issues nothing, from the bound its walk and TryScrub fold; valid
+     * until a request arrives or any command issues (both reset it to 0),
+     * or — with a scrubber — any retirement check runs.
      *
      * `next_retire_check_`: the earliest completion cycle among in-burst
      * requests; maintained at issue time and recomputed on retirement.
@@ -458,9 +448,12 @@ class Controller {
      * Issues at most one patrol-scrub command (DESIGN.md §6 arbitration:
      * only on cycles where demand selection produced nothing, no refresh
      * issued, no write drain, and the read queue sits below the demotion
-     * watermark).  @return true if a command was issued.
+     * watermark).  When it declines, it folds into @p bound the earliest
+     * cycle it could issue without a retirement or another command in
+     * between: the scrub clock, or the scrub command's EarliestIssue.
+     * @return true if a command was issued.
      */
-    bool TryScrub(DramCycle now);
+    bool TryScrub(DramCycle now, DramCycle& bound);
 
     /** Closes the completed scrub read: classification bookkeeping and —
      *  for an uncorrectable row — proactive retirement. */

@@ -42,7 +42,6 @@ RequestQueue::Add(RequestPtr request)
                      FlatBank(ref)] += 1;
     per_thread_[ref.thread] += 1;
     requests_.push_back(std::move(request));
-    view_.push_back(&ref);
     if (ref.state == RequestState::kQueued) {
         Link(ref);
     }
@@ -52,13 +51,13 @@ RequestQueue::Add(RequestPtr request)
 RequestPtr
 RequestQueue::Remove(const MemRequest& request)
 {
-    const auto it = std::find(view_.begin(), view_.end(), &request);
-    PARBS_ASSERT(it != view_.end(),
+    const auto it = std::find_if(
+        requests_.begin(), requests_.end(),
+        [&request](const RequestPtr& held) { return held.get() == &request; });
+    PARBS_ASSERT(it != requests_.end(),
                  "removing a request that is not in the buffer");
-    const auto index = it - view_.begin();
-    RequestPtr out = std::move(requests_[static_cast<std::size_t>(index)]);
-    view_.erase(it);
-    requests_.erase(requests_.begin() + index);
+    RequestPtr out = std::move(*it);
+    requests_.erase(it);
     per_thread_bank_[static_cast<std::size_t>(out->thread) * num_banks_ +
                      FlatBank(*out)] -= 1;
     per_thread_[out->thread] -= 1;
@@ -82,7 +81,7 @@ RequestQueue::CheckIndex() const
     std::vector<std::uint32_t> thread_bank(per_thread_bank_.size(), 0);
     std::vector<std::uint32_t> thread_total(per_thread_.size(), 0);
     std::vector<std::uint32_t> queued(num_banks_, 0);
-    for (const MemRequest* request : view_) {
+    for (const MemRequest* request : requests()) {
         thread_bank[static_cast<std::size_t>(request->thread) * num_banks_ +
                     FlatBank(*request)] += 1;
         thread_total[request->thread] += 1;
@@ -113,7 +112,7 @@ RequestQueue::CheckIndex() const
     for (std::uint32_t bank = 0; bank < num_banks_; ++bank) {
         // The chain must hold exactly the queued requests of this bank, in
         // arrival order (ids are assigned in arrival order by the cores;
-        // the flat view preserves it, so walk both in lockstep).
+        // the flat list preserves it, so walk both in lockstep).
         const MemRequest* prev = nullptr;
         std::uint32_t chained = 0;
         std::size_t cursor = 0;
@@ -124,10 +123,11 @@ RequestQueue::CheckIndex() const
                          "bank chain holds a non-queued request");
             PARBS_ASSERT(request->bank_prev == prev,
                          "bank chain back-links corrupted");
-            while (cursor < view_.size() && view_[cursor] != request) {
+            while (cursor < requests_.size() &&
+                   requests_[cursor].get() != request) {
                 cursor += 1;
             }
-            PARBS_ASSERT(cursor < view_.size(),
+            PARBS_ASSERT(cursor < requests_.size(),
                          "bank chain order diverged from arrival order");
             prev = request;
             chained += 1;

@@ -4,7 +4,7 @@
  * the per-thread, per-bank occupancy counters that the paper's schedulers
  * consult (Table 1: ReqsInBankPerThread, ReqsPerThread).
  *
- * Beyond the flat arrival-ordered view, the buffer maintains a per-bank
+ * Beyond the flat arrival-ordered list, the buffer maintains a per-bank
  * *index*: an intrusive, arrival-ordered chain of the queued (schedulable)
  * requests of every (rank, bank), plus per-bank occupancy counters and
  * modification generations, and a bitmask of the banks that hold queued
@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include "common/assert.hh"
@@ -105,14 +106,20 @@ class RequestQueue {
      */
     void BeginService(MemRequest& request);
 
-    /** All buffered requests, in arrival order (includes in-burst ones). */
-    const std::vector<MemRequest*>& requests() const { return view_; }
+    /** All buffered requests, in arrival order (includes in-burst ones):
+     *  a random-access range of MemRequest* over the owning list. */
+    auto
+    requests() const
+    {
+        return std::views::transform(
+            requests_, [](const RequestPtr& held) { return held.get(); });
+    }
 
     /** Oldest buffered request (front of arrival order), or nullptr. */
     MemRequest*
     Oldest() const
     {
-        return view_.empty() ? nullptr : view_.front();
+        return requests_.empty() ? nullptr : requests_.front().get();
     }
 
     // --- Per-bank index --------------------------------------------------
@@ -190,9 +197,8 @@ class RequestQueue {
     std::uint32_t banks_per_rank_;
     std::uint32_t num_banks_;
 
+    /** The buffered requests, in arrival order. */
     std::vector<RequestPtr> requests_;
-    /** Cached raw-pointer view handed to schedulers (kept on mutation). */
-    std::vector<MemRequest*> view_;
 
     /** [thread * num_banks + bank] occupancy. */
     std::vector<std::uint32_t> per_thread_bank_;

@@ -4,7 +4,7 @@
  * in-flight scrub read.
  *
  * The scrubber is a *passive* state machine — the Controller drives it
- * from its per-cycle loop (Controller::TryScrub), issuing real commands
+ * from its selection scan (Controller::TryScrub), issuing real commands
  * through the channel so the protocol checker and bank/bus timing see
  * scrub traffic exactly like demand traffic.  Arbitration rules
  * (DESIGN.md §6): a scrub command may issue only on a cycle where demand
@@ -42,6 +42,13 @@ class Scrubber {
 
     /** Advances the cursor one row, wrapping row -> bank -> rank. */
     void AdvanceCursor();
+
+    /** Rows the cursor walks: every row of the channel. */
+    std::uint64_t
+    rows() const
+    {
+        return std::uint64_t{num_ranks_} * banks_per_rank_ * rows_per_bank_;
+    }
 
     /** Completed full passes over the address space. */
     std::uint64_t sweeps() const { return sweeps_; }

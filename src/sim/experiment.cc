@@ -11,6 +11,9 @@
 namespace parbs {
 namespace {
 
+/** Sampler period for traced runs, in DRAM cycles. */
+constexpr DramCycle kTraceSampleInterval = 1024;
+
 /** Deterministic per-(seed, slot, benchmark) trace seed. */
 std::uint64_t
 TraceSeed(std::uint64_t base, ThreadId slot, const std::string& benchmark)
@@ -61,7 +64,7 @@ ExperimentConfig::MakeSystemConfig(const SchedulerConfig& scheduler) const
     ApplyCheckEnvironment(system);
     if (!EffectiveTracePath().empty()) {
         system.observability.trace = true;
-        system.observability.sample_interval = trace_sample_interval;
+        system.observability.sample_interval = kTraceSampleInterval;
     }
     if (customize) {
         customize(system);

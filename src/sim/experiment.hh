@@ -48,8 +48,6 @@ struct ExperimentConfig {
      * traced and untraced experiments.
      */
     std::string trace_path;
-    /** Sampler period for traced runs, in DRAM cycles (0 disables). */
-    DramCycle trace_sample_interval = 1024;
 
     /** @ref trace_path if set, else the PARBS_TRACE environment variable. */
     std::string EffectiveTracePath() const;

@@ -46,18 +46,14 @@ TEST_F(BankTest, NextCommandPerState)
 TEST_F(BankTest, TrcdGatesColumnAfterActivate)
 {
     bank_.Issue(Cmd(CommandType::kActivate, 1), 10);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kRead, 10));
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kRead,
-                                10 + timing_.tRCD - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kRead, 10 + timing_.tRCD));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kWrite, 10 + timing_.tRCD));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kRead), 10 + timing_.tRCD);
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kWrite), 10 + timing_.tRCD);
 }
 
 TEST_F(BankTest, TrasGatesPrechargeAfterActivate)
 {
     bank_.Issue(Cmd(CommandType::kActivate, 1), 0);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kPrecharge, timing_.tRAS - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kPrecharge, timing_.tRAS));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kPrecharge), timing_.tRAS);
 }
 
 TEST_F(BankTest, TrcGatesActivateToActivate)
@@ -66,9 +62,7 @@ TEST_F(BankTest, TrcGatesActivateToActivate)
     bank_.Issue(Cmd(CommandType::kPrecharge), timing_.tRAS);
     // The next activate must respect both tRP (after PRE) and tRC (after
     // the previous ACT); with default timing tRC == tRAS + tRP binds.
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kActivate,
-                                timing_.tRC() - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kActivate, timing_.tRC()));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kActivate), timing_.tRC());
 }
 
 TEST_F(BankTest, TrpGatesActivateAfterPrecharge)
@@ -76,10 +70,8 @@ TEST_F(BankTest, TrpGatesActivateAfterPrecharge)
     bank_.Issue(Cmd(CommandType::kActivate, 1), 0);
     const DramCycle pre_at = timing_.tRAS + 10;
     bank_.Issue(Cmd(CommandType::kPrecharge), pre_at);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kActivate,
-                                pre_at + timing_.tRP - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kActivate,
-                               pre_at + timing_.tRP));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kActivate),
+              pre_at + timing_.tRP);
 }
 
 TEST_F(BankTest, TrtpGatesPrechargeAfterRead)
@@ -90,8 +82,7 @@ TEST_F(BankTest, TrtpGatesPrechargeAfterRead)
     // tRAS (from ACT) and tRTP (from READ) both apply; tRAS dominates here.
     const DramCycle earliest =
         std::max(timing_.tRAS, read_at + timing_.tRTP);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kPrecharge, earliest - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kPrecharge, earliest));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kPrecharge), earliest);
 }
 
 TEST_F(BankTest, WriteRecoveryGatesPrecharge)
@@ -102,18 +93,15 @@ TEST_F(BankTest, WriteRecoveryGatesPrecharge)
     const DramCycle earliest = std::max(
         timing_.tRAS,
         write_at + timing_.tCWD + timing_.tBURST + timing_.tWR);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kPrecharge, earliest - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kPrecharge, earliest));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kPrecharge), earliest);
 }
 
 TEST_F(BankTest, TccdGatesBackToBackColumns)
 {
     bank_.Issue(Cmd(CommandType::kActivate, 1), 0);
     bank_.Issue(Cmd(CommandType::kRead, 1), timing_.tRCD);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kRead,
-                                timing_.tRCD + timing_.tCCD - 1));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kRead,
-                               timing_.tRCD + timing_.tCCD));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kRead),
+              timing_.tRCD + timing_.tCCD);
 }
 
 TEST_F(BankTest, OpenSinceTracksActivate)
@@ -127,8 +115,7 @@ TEST_F(BankTest, OpenSinceTracksActivate)
 TEST_F(BankTest, BlockUntilDefersEverything)
 {
     bank_.BlockUntil(100);
-    EXPECT_FALSE(bank_.CanIssue(CommandType::kActivate, 99));
-    EXPECT_TRUE(bank_.CanIssue(CommandType::kActivate, 100));
+    EXPECT_EQ(bank_.EarliestIssue(CommandType::kActivate), 100u);
 }
 
 TEST_F(BankTest, ActivateOnOpenBankAborts)

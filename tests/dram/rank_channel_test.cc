@@ -35,8 +35,7 @@ class RankTest : public ::testing::Test {
 TEST_F(RankTest, TrrdGatesActivatesAcrossBanks)
 {
     rank_.Issue(Act(0), 0);
-    EXPECT_FALSE(rank_.CanIssue(Act(1), timing_.tRRD - 1));
-    EXPECT_TRUE(rank_.CanIssue(Act(1), timing_.tRRD));
+    EXPECT_EQ(rank_.EarliestIssue(Act(1)), timing_.tRRD);
 }
 
 TEST_F(RankTest, TfawLimitsFourActivates)
@@ -48,9 +47,8 @@ TEST_F(RankTest, TfawLimitsFourActivates)
         rank_.Issue(Act(bank), t);
         t += timing_.tRRD;
     }
-    EXPECT_FALSE(rank_.CanIssue(Act(4), t));
-    EXPECT_FALSE(rank_.CanIssue(Act(4), timing_.tFAW - 1));
-    EXPECT_TRUE(rank_.CanIssue(Act(4), timing_.tFAW));
+    ASSERT_LT(t, timing_.tFAW);
+    EXPECT_EQ(rank_.EarliestIssue(Act(4)), timing_.tFAW);
 }
 
 TEST_F(RankTest, TwtrGatesReadAfterWrite)
@@ -62,8 +60,7 @@ TEST_F(RankTest, TwtrGatesReadAfterWrite)
     const DramCycle earliest =
         write_at + timing_.tCWD + timing_.tBURST + timing_.tWTR;
     // Read to a *different* bank still gated by the rank-level tWTR.
-    EXPECT_FALSE(rank_.CanIssue(Read(1), earliest - 1));
-    EXPECT_TRUE(rank_.CanIssue(Read(1), earliest));
+    EXPECT_EQ(rank_.EarliestIssue(Read(1)), earliest);
 }
 
 TEST_F(RankTest, RefreshDueAfterTrefi)
@@ -86,8 +83,7 @@ TEST_F(RankTest, RefreshBlocksBanksForTrfc)
 {
     const DramCycle due = timing_.tREFI;
     rank_.Issue(Command{CommandType::kRefresh, 0, 0, 0}, due);
-    EXPECT_FALSE(rank_.CanIssue(Act(0), due + timing_.tRFC - 1));
-    EXPECT_TRUE(rank_.CanIssue(Act(0), due + timing_.tRFC));
+    EXPECT_EQ(rank_.EarliestIssue(Act(0)), due + timing_.tRFC);
     // The next refresh is scheduled one interval later.
     EXPECT_EQ(rank_.next_refresh_due(), 2 * timing_.tREFI);
 }
@@ -138,18 +134,19 @@ TEST_F(ChannelTest, DataBusSerializesBurstsAcrossBanks)
     channel_.Issue(Read(0, 1), first_read);
     const DramCycle bus_free = first_read + timing_.tCL + timing_.tBURST;
     // A second read whose burst would overlap the first must wait until
-    // its data start clears the bus.
-    const DramCycle too_early = bus_free - timing_.tCL - 1;
-    EXPECT_FALSE(channel_.CanIssue(Read(1, 1), too_early));
-    EXPECT_TRUE(channel_.CanIssue(Read(1, 1), bus_free - timing_.tCL));
+    // its data start clears the bus (later than its own bank's tRCD).
+    ASSERT_LT(timing_.tRRD + timing_.tRCD, bus_free - timing_.tCL);
+    EXPECT_EQ(channel_.EarliestIssue(Read(1, 1)), bus_free - timing_.tCL);
 }
 
 TEST_F(ChannelTest, NonColumnCommandsIgnoreDataBus)
 {
     channel_.Issue(Act(0, 1), 0);
     channel_.Issue(Read(0, 1), timing_.tRCD);
-    // An activate to another bank can issue while the burst is in flight.
-    EXPECT_TRUE(channel_.CanIssue(Act(1, 1), timing_.tRCD + timing_.tRRD));
+    // An activate to another bank can issue while the burst is in flight:
+    // only the rank's tRRD holds it.
+    EXPECT_EQ(channel_.EarliestIssue(Act(1, 1)), timing_.tRRD);
+    EXPECT_LT(timing_.tRRD, channel_.bus_free_at());
 }
 
 TEST_F(ChannelTest, InvalidGeometryRejected)
@@ -185,8 +182,8 @@ TEST(MultiRankChannel, RanksAreIndependentForActivates)
     geometry.ranks_per_channel = 2;
     Channel channel(timing, geometry);
     channel.Issue(Act(0, 1, 0), 0);
-    // tRRD is per rank: the other rank can activate immediately after.
-    EXPECT_TRUE(channel.CanIssue(Act(0, 1, 1), 1));
+    // tRRD is per rank: the other rank can activate at once.
+    EXPECT_EQ(channel.EarliestIssue(Act(0, 1, 1)), 0u);
 }
 
 TEST(GeometryHelpers, DerivedQuantities)

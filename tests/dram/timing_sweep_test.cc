@@ -37,8 +37,7 @@ TEST_P(TimingSweep, ReadLatencyFollowsConfiguredValues)
     const TimingParams t = Params();
     Bank bank(t);
     bank.Issue({CommandType::kActivate, 0, 0, 1}, 0);
-    EXPECT_FALSE(bank.CanIssue(CommandType::kRead, t.tRCD - 1));
-    EXPECT_TRUE(bank.CanIssue(CommandType::kRead, t.tRCD));
+    EXPECT_EQ(bank.EarliestIssue(CommandType::kRead), t.tRCD);
 }
 
 TEST_P(TimingSweep, RowCycleFollowsConfiguredValues)
@@ -47,8 +46,7 @@ TEST_P(TimingSweep, RowCycleFollowsConfiguredValues)
     Bank bank(t);
     bank.Issue({CommandType::kActivate, 0, 0, 1}, 0);
     bank.Issue({CommandType::kPrecharge, 0, 0, 0}, t.tRAS);
-    EXPECT_FALSE(bank.CanIssue(CommandType::kActivate, t.tRC() - 1));
-    EXPECT_TRUE(bank.CanIssue(CommandType::kActivate, t.tRC()));
+    EXPECT_EQ(bank.EarliestIssue(CommandType::kActivate), t.tRC());
 }
 
 TEST_P(TimingSweep, DerivedLatenciesAreConsistent)
@@ -64,28 +62,31 @@ TEST_P(TimingSweep, DerivedLatenciesAreConsistent)
 
 TEST_P(TimingSweep, EndToEndRequestLegality)
 {
-    // Drive a full conflict sequence through a channel and check every
-    // command issues exactly at its earliest legal cycle.
+    // Drive a full conflict sequence through a channel: every command's
+    // earliest cycle is the one the configured values give, and issuing
+    // it there passes the protocol checker.
     const TimingParams t = Params();
     Geometry geometry;
     geometry.rows_per_bank = 1024;
     Channel channel(t, geometry);
+    channel.EnableProtocolCheck();
 
     channel.Issue({CommandType::kActivate, 0, 0, 1}, 0);
     const DramCycle read_at = t.tRCD;
-    ASSERT_TRUE(channel.CanIssue({CommandType::kRead, 0, 0, 1}, read_at));
+    ASSERT_EQ(channel.EarliestIssue({CommandType::kRead, 0, 0, 1}),
+              read_at);
     channel.Issue({CommandType::kRead, 0, 0, 1}, read_at);
 
     const DramCycle pre_at = std::max(t.tRAS, read_at + t.tRTP);
-    ASSERT_FALSE(
-        channel.CanIssue({CommandType::kPrecharge, 0, 0, 0}, pre_at - 1));
+    ASSERT_EQ(channel.EarliestIssue({CommandType::kPrecharge, 0, 0, 0}),
+              pre_at);
     channel.Issue({CommandType::kPrecharge, 0, 0, 0}, pre_at);
 
     const DramCycle act_at = std::max(pre_at + t.tRP, t.tRC());
-    ASSERT_FALSE(
-        channel.CanIssue({CommandType::kActivate, 0, 0, 2}, act_at - 1));
+    ASSERT_EQ(channel.EarliestIssue({CommandType::kActivate, 0, 0, 2}),
+              act_at);
     channel.Issue({CommandType::kActivate, 0, 0, 2}, act_at);
-    SUCCEED();
+    EXPECT_EQ(channel.protocol_checker()->commands_checked(), 4u);
 }
 
 /** Sweep the CPU:DRAM ratio used by the round-trip accounting. */
@@ -111,9 +112,8 @@ TEST_P(BurstSweep, BusOccupancyScalesWithBurstLength)
     // it must also respect its own bank's tRCD (binding for short bursts).
     const DramCycle second_ok =
         std::max(done - t.tCL, t.tRRD + t.tRCD);
-    EXPECT_FALSE(
-        channel.CanIssue({CommandType::kRead, 0, 1, 1}, second_ok - 1));
-    EXPECT_TRUE(channel.CanIssue({CommandType::kRead, 0, 1, 1}, second_ok));
+    EXPECT_EQ(channel.EarliestIssue({CommandType::kRead, 0, 1, 1}),
+              second_ok);
 }
 
 } // namespace

@@ -2,21 +2,26 @@
  * @file
  * Tests for the RAS subsystem: the deterministic error model, the ECC
  * retry / row-retirement state machine, machine-check surfacing, the
- * patrol scrubber, and the recovery-tax latency component.
+ * patrol scrubber and its skip-ahead schedule, and the recovery-tax latency
+ * component.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 
 #include "common/assert.hh"
+#include "common/rng.hh"
 #include "dram/error_model.hh"
 #include "mem/ras.hh"
 #include "mem/scrubber.hh"
 #include "obs/latency.hh"
 #include "obs/tracer.hh"
+#include "oracle/scan_checked.hh"
 #include "sched/factory.hh"
 #include "test_util.hh"
 
@@ -329,6 +334,192 @@ TEST(Ras, WatchdogDumpIncludesRasState)
     EXPECT_NE(dump.find("ras: corrected=0"), std::string::npos) << dump;
     EXPECT_NE(dump.find("remap=1/4"), std::string::npos) << dump;
     EXPECT_NE(dump.find("retries=2"), std::string::npos) << dump;
+}
+
+// --- Scrub schedule ------------------------------------------------------
+
+/**
+ * What a scrubbing controller leaves behind: every issued DRAM command (a
+ * count and an FNV-1a digest of cycle, type, flat bank and row, in issue
+ * order), the RAS counters, and the scan schedule.
+ */
+struct ScrubRun {
+    std::uint64_t commands = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    RasStats ras;
+    oracle::ScanSchedule schedule;
+};
+
+void
+MixDigest(std::uint64_t& digest, std::uint64_t value)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (value >> (8 * byte)) & 0xff;
+        digest *= 0x100000001b3ULL;
+    }
+}
+
+ScrubRun
+Summarize(const obs::Tracer& tracer, const Controller& controller)
+{
+    EXPECT_EQ(tracer.dropped(), 0u);
+    ScrubRun run;
+    for (const obs::TraceEvent& event : tracer.Snapshot()) {
+        if (event.kind != obs::EventKind::kCommand) {
+            continue;
+        }
+        run.commands += 1;
+        MixDigest(run.digest, event.cycle);
+        MixDigest(run.digest, event.a);
+        MixDigest(run.digest, event.bank);
+        MixDigest(run.digest, event.b);
+    }
+    run.ras = controller.ras()->stats();
+    run.schedule += controller;
+    return run;
+}
+
+void
+ExpectRun(const ScrubRun& run, const ScrubRun& expected)
+{
+    EXPECT_EQ(run.commands, expected.commands);
+    EXPECT_EQ(run.digest, expected.digest);
+    EXPECT_EQ(run.ras.corrected, expected.ras.corrected);
+    EXPECT_EQ(run.ras.uncorrectable, expected.ras.uncorrectable);
+    EXPECT_EQ(run.ras.retries, expected.ras.retries);
+    EXPECT_EQ(run.ras.rows_retired, expected.ras.rows_retired);
+    EXPECT_EQ(run.ras.machine_checks, expected.ras.machine_checks);
+    EXPECT_EQ(run.ras.scrub_reads, expected.ras.scrub_reads);
+    EXPECT_EQ(run.ras.scrub_corrected, expected.ras.scrub_corrected);
+    EXPECT_EQ(run.ras.scrub_uncorrectable, expected.ras.scrub_uncorrectable);
+    EXPECT_EQ(run.schedule, expected.schedule);
+}
+
+/**
+ * PAR-BS under the scan oracle, on DDR2 timing with refresh, with RAS
+ * errors (transient, and stuck rows the remap table always has room for)
+ * and a patrol scrub every @p interval cycles.  Seeded bursts of reads and
+ * writes each drain and are followed by an idle stretch longer than the
+ * interval, so the scrubber runs both beside demand traffic (demoted,
+ * write-drained, refresh- and timing-blocked) and alone.
+ */
+ScrubRun
+RunScrubbedBursts(DramCycle interval)
+{
+    ControllerConfig config = RasControllerConfig();
+    config.ras.transient_error_rate = 0.02;
+    config.ras.transient_uncorrectable = 0.5;
+    config.ras.stuck_row_fraction = 0.03;
+    config.ras.remap_capacity = 1u << 20;
+    config.ras.scrub_interval = interval;
+    config.write_queue_capacity = 16;
+    config.write_drain_high = 12;
+    config.write_drain_low = 4;
+    SchedulerConfig scheduler;
+    scheduler.kind = SchedulerKind::kParBs;
+    oracle::CheckedHarness x(MakeScheduler(scheduler), config,
+                             dram::TimingParams{});
+    obs::Tracer tracer(1u << 18);
+    x.h.controller().AttachObservability(&tracer, nullptr, 0);
+
+    Rng rng(0x5c7b + interval);
+    for (int burst = 0; burst < 40; ++burst) {
+        const std::uint64_t size = 1 + rng.NextBelow(32);
+        for (std::uint64_t i = 0; i < size; ++i) {
+            const bool is_write = rng.NextBool(0.3);
+            const Controller& controller = x.h.controller();
+            if (is_write ? controller.CanAcceptWrite()
+                         : controller.CanAcceptRead()) {
+                x.h.Enqueue(static_cast<ThreadId>(rng.NextBelow(4)),
+                            static_cast<std::uint32_t>(rng.NextBelow(8)),
+                            static_cast<std::uint32_t>(rng.NextBelow(64)),
+                            static_cast<std::uint32_t>(rng.NextBelow(32)),
+                            is_write);
+            }
+            x.h.Tick(rng.NextBelow(3));
+        }
+        x.h.RunUntilIdle();
+        x.h.Tick(interval + 1 + rng.NextBelow(interval + 512));
+    }
+    EXPECT_EQ(x.h.controller().pending_reads(), 0u);
+    EXPECT_EQ(x.h.controller().pending_writes(), 0u);
+    EXPECT_GT(x.oracle->picks_checked(), 0u);
+    return Summarize(tracer, x.h.controller());
+}
+
+/**
+ * The scrubber runs under the skip-ahead bound (DESIGN.md §6): a declining
+ * scrub folds its clock or its command's EarliestIssue into the bound.
+ * The commands and RAS counters below were recorded from a controller
+ * that scanned every cycle while scrubbing, so a bound one cycle late, or
+ * a skip window that outlives a scrub read's retirement, changes them;
+ * the scan schedule pins how many of those cycles are now skipped.
+ */
+struct ScrubCase {
+    DramCycle interval;
+    ScrubRun expected;
+};
+
+void
+PrintTo(const ScrubCase& scrub_case, std::ostream* out)
+{
+    *out << "interval " << scrub_case.interval;
+}
+
+class ScrubSkipAhead : public ::testing::TestWithParam<ScrubCase> {};
+
+TEST_P(ScrubSkipAhead, MatchesThePerCycleScrubber)
+{
+    ExpectRun(RunScrubbedBursts(GetParam().interval), GetParam().expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Intervals, ScrubSkipAhead,
+    ::testing::Values(
+        ScrubCase{1,
+                  {3735, 0xd8ba2653454252f1ULL,
+                   {5, 31, 31, 34, 0, 506, 4, 27},
+                   {7676, 8379, 2226, 2441, 85}}},
+        ScrubCase{16,
+                  {3496, 0x5930a3b24177b41dULL,
+                   {4, 39, 39, 32, 0, 421, 3, 23},
+                   {6689, 12610, 2194, 2432, 77}}},
+        ScrubCase{512,
+                  {2482, 0xb2c76fa5057414ffULL,
+                   {7, 40, 40, 12, 0, 90, 2, 3},
+                   {4567, 43280, 1964, 2351, 79}}}),
+    [](const auto& info) {
+        return "Every" + std::to_string(info.param.interval);
+    });
+
+TEST(Ras, ScrubberStopsOnceEveryRowIsRetired)
+{
+    // Eight rows, all stuck: the scrubber retires every one, after which
+    // it declines for good and folds nothing into the bound, so idle
+    // cycles are skipped again and demand traffic still reads the
+    // remapped rows.
+    ControllerConfig config = RasControllerConfig();
+    config.ras.stuck_row_fraction = 1.0;
+    config.ras.remap_capacity = 1u << 20;
+    config.ras.scrub_interval = 8;
+    dram::Geometry geometry = test::TestGeometry();
+    geometry.banks_per_rank = 2;
+    geometry.rows_per_bank = 4;
+    oracle::CheckedHarness x(FrFcfs(), config, test::TestTiming(), 2,
+                             geometry);
+    obs::Tracer tracer(1u << 14);
+    x.h.controller().AttachObservability(&tracer, nullptr, 0);
+    x.h.Tick(1000);
+    x.h.Enqueue(0, 1, 2);
+    x.h.Enqueue(1, 0, 3, 0, /*is_write=*/true);
+    x.h.RunUntilIdle();
+    x.h.Tick(1000);
+    EXPECT_EQ(x.h.completed().size(), 1u);
+    EXPECT_EQ(x.h.controller().pending_writes(), 0u);
+    ExpectRun(Summarize(tracer, x.h.controller()),
+              {26, 0x227dcb0ad17a3948ULL,
+               {0, 0, 0, 8, 0, 8, 0, 8},
+               {62, 1962, 0, 4, 0}});
 }
 
 } // namespace
